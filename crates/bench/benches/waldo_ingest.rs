@@ -199,6 +199,10 @@ fn bench_daemon(c: &mut Criterion) {
                 shards: 8,
                 ingest_batch: 64,
                 ancestry_cache: 0,
+                // WAL only: every group commit appends + fsyncs its
+                // frame, no checkpoint ever runs.
+                checkpoint_commits: 0,
+                checkpoint_wal_bytes: 0,
                 ..WaldoConfig::default()
             },
         ),
@@ -217,7 +221,7 @@ fn bench_daemon(c: &mut Criterion) {
                 |mut sys| {
                     let waldo_pid = sys.kernel.spawn_init("waldo");
                     let mut w = waldo::Waldo::with_config(waldo_pid, cfg);
-                    w.attach_db_device(&mut sys.kernel, "/waldo.db").unwrap();
+                    w.attach_db_dir(&mut sys.kernel, "/waldo-db").unwrap();
                     let stats = w.ingest_log_file(&mut sys.kernel, "/waldo-input.log");
                     black_box((stats.applied, w.db.object_count()))
                 },

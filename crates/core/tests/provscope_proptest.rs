@@ -145,39 +145,21 @@ fn cluster_trace(
 }
 
 /// Interleaving-independent census of a span forest: how many spans
-/// each (layer, name) pair produced, regardless of parentage.
-/// Threaded runs may allocate span ids in any order and re-root the
-/// coordinator-side durability spans, but may not grow or shrink
-/// these counts relative to the sequential runtime.
+/// each (layer, name, batch-bound, has-parent) combination produced.
+/// Both cluster runtimes run the same collect → ingest → flush sweep,
+/// so this must match span for span across them; only span ids
+/// (allocation order) may differ.
 fn span_census(
     trace: &provscope::Trace,
-) -> std::collections::BTreeMap<(&'static str, String), usize> {
+) -> std::collections::BTreeMap<(&'static str, String, bool, bool), usize> {
     let mut census = std::collections::BTreeMap::new();
     for s in &trace.spans {
-        *census.entry((s.layer, s.name.clone())).or_insert(0) += 1;
+        let batch = s.trace.is_some_and(|t| t.is_batch());
+        *census
+            .entry((s.layer, s.name.clone(), batch, s.parent.is_some()))
+            .or_insert(0) += 1;
     }
     census
-}
-
-/// The shape of the *batch* span trees only — (layer, name,
-/// root-or-child) counts over spans bound to a batch trace. Unlike
-/// the scope-wide census this does constrain parentage: batch trees
-/// must keep the exact sequential structure on the threaded runtime.
-/// (Non-batch spans are excluded because durability runs on the
-/// coordinator thread there: `wal_persist` is a root span instead of
-/// a `drain_logs` child. Batch trees never change shape.)
-fn batch_shape(
-    trace: &provscope::Trace,
-) -> std::collections::BTreeMap<(&'static str, String, bool), usize> {
-    let mut shape = std::collections::BTreeMap::new();
-    for s in &trace.spans {
-        if s.trace.is_some_and(|t| t.is_batch()) {
-            *shape
-                .entry((s.layer, s.name.clone(), s.parent.is_some()))
-                .or_insert(0) += 1;
-        }
-    }
-    shape
 }
 
 proptest! {
@@ -205,12 +187,11 @@ proptest! {
 
     /// Threaded 2-member cluster: members ingest on worker OS threads,
     /// yet the span contract is unchanged — every batch is still one
-    /// connected tree crossing every local layer, with exactly the
-    /// sequential runtime's tree shape; the scope-wide (layer, op)
-    /// census matches span for span; and the merged store is
-    /// byte-equal to the sequential run's. Only span *ids* (allocation
-    /// order) and the parentage of coordinator-side durability spans
-    /// may differ across runtimes.
+    /// connected tree crossing every local layer; the scope-wide
+    /// (layer, name, batch-bound, has-parent) census matches the
+    /// sequential runtime's span for span, durability spans included;
+    /// and the merged store is byte-equal to the sequential run's.
+    /// Only span *ids* (allocation order) may differ across runtimes.
     #[test]
     fn threaded_cluster_span_trees(rounds in 1usize..4, batch_ops in 2usize..6) {
         let (seq_trace, seq_images) = cluster_trace(rounds, batch_ops, false);
@@ -221,12 +202,6 @@ proptest! {
             "threaded runtime changed the span census:\n{:?}\nvs sequential\n{:?}",
             span_census(&thr_trace),
             span_census(&seq_trace)
-        );
-        prop_assert!(
-            batch_shape(&thr_trace) == batch_shape(&seq_trace),
-            "threaded runtime changed a batch tree's shape:\n{:?}\nvs sequential\n{:?}",
-            batch_shape(&thr_trace),
-            batch_shape(&seq_trace)
         );
         prop_assert!(
             thr_images == seq_images,

@@ -154,12 +154,8 @@ fn write_synced(kernel: &mut Kernel, pid: Pid, path: &str, data: &[u8]) -> Resul
 
 /// Serializes and writes segment files for every shard whose
 /// generation advanced past the previous checkpoint, reusing the
-/// previous checkpoint's segments for unchanged shards. (Old-format
-/// segments never survive this reuse: `try_load` bumps the
-/// generation of every shard it rehydrated from a v1 image, so the
-/// next checkpoint rewrites them — to a *new* path, leaving the old
-/// checkpoint's files untouched for fallback.) Returns the new
-/// per-shard refs plus (files written, bytes written).
+/// previous checkpoint's segments for unchanged shards. Returns the
+/// new per-shard refs plus (files written, bytes written).
 pub(crate) fn write_segments(
     kernel: &mut Kernel,
     pid: Pid,
@@ -389,19 +385,9 @@ fn try_load(
         if img.len() as u64 != seg.len || segment_crc(&img) != seg.crc {
             return None;
         }
-        let (idx, mut shard) = decode_shard(&img).ok()?;
+        let (idx, shard) = decode_shard(&img).ok()?;
         if idx as usize != i || shard.generation != seg.generation {
             return None;
-        }
-        // An old-format image (v1: attribute index rebuilt at decode)
-        // must not be carried forward by incremental checkpoints, or
-        // every future restart repeats the rebuild. Bumping the
-        // generation makes the next checkpoint rewrite this shard in
-        // the current format — under a *new* path, so the loaded
-        // (old) checkpoint stays intact as a fallback until garbage
-        // collection rotates it out.
-        if crate::segment::image_format_version(&img) < crate::segment::SEGMENT_VERSION {
-            shard.generation += 1;
         }
         shards.push(shard);
     }
@@ -416,126 +402,4 @@ fn try_load(
         m.replay_skip,
     );
     Some((store, m))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dpapi::{Attribute, ObjectRef, Pnode, ProvenanceRecord, Value, Version, VolumeId};
-    use lasagna::LogEntry;
-    use sim_os::clock::Clock;
-    use sim_os::cost::CostModel;
-    use sim_os::fs::basefs::BaseFs;
-
-    /// A pre-upgrade (segment v1) checkpoint on disk: loading it
-    /// rebuilds the attribute index AND bumps the rehydrated shards'
-    /// generations, so the next incremental checkpoint rewrites every
-    /// v1 segment in the current format — at new paths, leaving the
-    /// old checkpoint intact for fallback. Without the bump, a
-    /// quiescent shard's v1 segment would be carried forward forever
-    /// and every restart would repeat the rebuild.
-    #[test]
-    fn v1_segments_are_rewritten_by_the_next_checkpoint() {
-        let clock = Clock::new();
-        let mut kernel = Kernel::new(clock.clone(), CostModel::default());
-        kernel.mount("/", Box::new(BaseFs::new(clock, CostModel::default())));
-        let pid = kernel.spawn_init("waldo");
-        let dir = "/db/checkpoints";
-        kernel.mkdir_p(pid, dir).unwrap();
-
-        // A store with an application attribute (so the index is
-        // non-trivial), checkpointed by hand in segment format v1.
-        let cfg = WaldoConfig {
-            shards: 2,
-            ancestry_cache: 0,
-            ..WaldoConfig::default()
-        };
-        let store = Store::with_config(cfg);
-        let entries: Vec<LogEntry> = (1..6u64)
-            .map(|i| LogEntry::Prov {
-                subject: ObjectRef::new(Pnode::new(VolumeId(1), i), Version(0)),
-                record: ProvenanceRecord::new(
-                    Attribute::Other("PHASE".into()),
-                    Value::str("align"),
-                ),
-            })
-            .collect();
-        store.ingest(&entries);
-        let mut segments = Vec::new();
-        for i in 0..store.shard_count() {
-            let gen = store.shard_generation(i);
-            if gen == 0 {
-                segments.push(SegmentRef {
-                    generation: 0,
-                    len: 0,
-                    crc: 0,
-                });
-                continue;
-            }
-            let img = store.with_shard(i, |shard| {
-                crate::segment::encode_shard_versioned(i as u32, shard, gen, 1)
-            });
-            write_synced(&mut kernel, pid, &segment_path(dir, i, gen), &img).unwrap();
-            segments.push(SegmentRef {
-                generation: gen,
-                len: img.len() as u64,
-                crc: segment_crc(&img),
-            });
-        }
-        let manifest = Manifest {
-            seq: store.commit_seq(),
-            segments: segments.clone(),
-            txns: Vec::new(),
-            commit_txn: None,
-            sources: Vec::new(),
-            batch_hw: Vec::new(),
-            replay_skip: None,
-        };
-        write_temp_manifest(&mut kernel, pid, dir, &manifest).unwrap();
-        rename_manifest(&mut kernel, pid, dir, manifest.seq).unwrap();
-
-        // Load: contents equal, index rebuilt, generations bumped for
-        // every shard that came from a v1 image.
-        let loaded = load_latest(&mut kernel, pid, dir, cfg).unwrap();
-        assert_eq!(loaded.store.segment_images(), store.segment_images());
-        assert_eq!(
-            loaded.store.find_by_attr("PHASE", "align").len(),
-            5,
-            "index rebuilt from v1 objects"
-        );
-        for (i, seg) in segments.iter().enumerate() {
-            if !seg.is_empty() {
-                assert_eq!(
-                    loaded.store.shard_generation(i),
-                    seg.generation + 1,
-                    "shard {i}"
-                );
-            }
-        }
-
-        // The next checkpoint rewrites every v1 shard (new paths),
-        // and the old checkpoint's files survive untouched.
-        let (refs, written, _) =
-            write_segments(&mut kernel, pid, &loaded.store, dir, Some(&loaded.manifest)).unwrap();
-        let live = segments.iter().filter(|s| !s.is_empty()).count() as u64;
-        assert_eq!(written, live, "every v1 segment must be rewritten");
-        for (i, r) in refs.iter().enumerate() {
-            if segments[i].is_empty() {
-                continue;
-            }
-            assert_eq!(r.generation, segments[i].generation + 1);
-            let new = kernel
-                .read_file(pid, &segment_path(dir, i, r.generation))
-                .unwrap();
-            assert_eq!(crate::segment::image_format_version(&new), 2);
-            let old = kernel
-                .read_file(pid, &segment_path(dir, i, segments[i].generation))
-                .unwrap();
-            assert_eq!(
-                segment_crc(&old),
-                segments[i].crc,
-                "the v1 checkpoint must stay intact for fallback"
-            );
-        }
-    }
 }

@@ -42,36 +42,36 @@ use sim_os::fs::FsError;
 use sim_os::proc::MountId;
 use sim_os::syscall::Kernel;
 
-use crate::daemon::{LogImage, QueryOps, Waldo};
+use crate::daemon::{rotated_log_paths, LogImage, QueryOps, Waldo};
 use crate::db::IngestStats;
 use crate::store::{MergeError, Store};
 
-/// How a [`Cluster`] executes an ingest sweep.
+/// How a [`Cluster`] executes phase 2 (ingest) of its sweep.
 ///
-/// Both runtimes produce **byte-identical member stores** for the
-/// same sweep: the threaded runtime hands each member exactly the log
-/// images the sequential runtime would have drained, in the same
-/// order, and per-member ingest is deterministic. What differs is
-/// wall-clock time (members overlap on real cores) and durability
-/// *timing* (WAL persists, log retirement and checkpoints move to a
-/// per-member flush at the end of the sweep — each commit frame
-/// carries complete replay marks, so the final frame supersedes the
-/// skipped intermediates).
+/// Both runtimes run the same collect → ingest → flush sweep (see
+/// [`Cluster::poll_volumes_report`]): each member ingests exactly the
+/// same log images in the same order, commits at the same batch
+/// boundaries and persists one WAL frame per sweep in the flush
+/// phase. So they produce **byte-identical member stores**, the same
+/// durability framing and the same span trees; only wall-clock time
+/// (members overlap on real cores) and span-id allocation order
+/// differ.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ClusterRuntime {
-    /// Members drain their volumes one after another on the calling
-    /// thread — the virtual-clock reference mode, where fleet time is
-    /// modeled as `max(member time)`.
+    /// Members ingest one after another on the calling thread, in
+    /// member order — the byte-equality reference.
     #[default]
     Sequential,
     /// Members ingest on OS threads (one scoped thread per member
-    /// with work): the coordinator keeps the single-threaded kernel,
-    /// reads rotated logs up front, and the members' kernel-free
-    /// parse + stage + commit work overlaps on real cores.
+    /// with work), overlapping their parse + stage + commit work on
+    /// real cores.
     Threaded,
 }
 
 /// One member's share of a threaded sweep, wall-clock attributed.
+/// Only [`ClusterRuntime::Threaded`] sweeps report these: the
+/// sequential runtime keeps its reports and metric registry free of
+/// wall-clock data.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MemberTiming {
     /// Member index.
@@ -81,8 +81,8 @@ pub struct MemberTiming {
     /// Log images the member ingested this sweep.
     pub images: usize,
     /// Wall-clock nanoseconds the member's ingest thread ran (parse +
-    /// stage + commit; excludes the coordinator's kernel reads and
-    /// the durability flush).
+    /// stage + commit; excludes the coordinator's collect and flush
+    /// phases).
     pub wall_ns: u64,
 }
 
@@ -180,9 +180,10 @@ pub struct ClusterPollReport {
     pub total: IngestStats,
     /// One entry per polled volume, in the caller's volume order.
     pub per_volume: Vec<VolumePoll>,
-    /// Per-member wall-clock attribution — populated only by the
-    /// [`ClusterRuntime::Threaded`] runtime (the sequential runtime
-    /// shares one thread, so per-member wall time is not meaningful).
+    /// Per-member wall-clock attribution, in member order — populated
+    /// only by the [`ClusterRuntime::Threaded`] runtime (the
+    /// sequential runtime shares one thread, so per-member wall time
+    /// is not meaningful).
     pub member_timings: Vec<MemberTiming>,
     /// The health-rule verdicts for the fleet's metric snapshot taken
     /// right after this sweep (see [`Cluster::set_health_rules`]).
@@ -342,7 +343,9 @@ impl Cluster {
         volumes.into_iter().map(|v| (v, self.route(v))).collect()
     }
 
-    /// Polls one volume for rotated logs on the member it routes to.
+    /// Polls one volume for rotated logs on the member it routes to,
+    /// through that member's [`Waldo::poll_volume`]: every group
+    /// commit persists its own frame, rather than one flush per sweep.
     pub fn poll_volume(
         &mut self,
         kernel: &mut Kernel,
@@ -372,15 +375,87 @@ impl Cluster {
     /// [`IngestStats`], and whether that member's WAL failed while
     /// draining it — so a sweep that went wrong says *where* instead
     /// of dissolving the signal into the roll-up.
+    ///
+    /// One sweep serves both runtimes, in three phases:
+    ///
+    /// 1. **Collect** (coordinator): the kernel is single-threaded, so
+    ///    the coordinator takes every volume's rotated-log queue and
+    ///    reads the log bytes, in the caller's volume order.
+    /// 2. **Ingest**: each member runs the kernel-free
+    ///    [`Waldo::ingest_images_offline`] over its volumes, in caller
+    ///    order — on one scoped OS thread per member with work under
+    ///    [`ClusterRuntime::Threaded`], inline in member order under
+    ///    [`ClusterRuntime::Sequential`]. Per-member ingest is
+    ///    deterministic, so both runtimes build byte-equal stores.
+    /// 3. **Flush** (coordinator): per member, persist the final
+    ///    commit frame, retire fully committed logs and run the
+    ///    checkpoint policy ([`Waldo::flush_durable`]).
+    ///
+    /// Per-volume stats cover that volume's ingest; flush-side effects
+    /// (WAL errors, checkpoints) are attributed to the member's *last*
+    /// polled volume, since one flush covers the whole sweep.
     pub fn poll_volumes_report(
         &mut self,
         kernel: &mut Kernel,
         volumes: &[(String, MountId, VolumeId)],
     ) -> ClusterPollReport {
-        let mut report = match self.runtime {
-            ClusterRuntime::Sequential => self.poll_volumes_sequential(kernel, volumes),
-            ClusterRuntime::Threaded => self.poll_volumes_threaded(kernel, volumes),
-        };
+        // Phase 1: collect, in caller order.
+        let mut work: Vec<Vec<Vec<LogImage>>> = self.members.iter().map(|_| Vec::new()).collect();
+        let mut per_volume = Vec::with_capacity(volumes.len());
+        for (path, mount, volume) in volumes {
+            let member = self.route(*volume);
+            let pid = self.members[member].pid();
+            let images = rotated_log_paths(kernel, *mount, path)
+                .unwrap_or_default()
+                .into_iter()
+                .filter_map(|abs| {
+                    let bytes = kernel.read_file(pid, &abs).ok()?;
+                    Some(LogImage { path: abs, bytes })
+                })
+                .collect();
+            work[member].push(images);
+            per_volume.push(VolumePoll {
+                member,
+                volume: *volume,
+                stats: IngestStats::default(),
+                wal_errors: 0,
+            });
+        }
+        let image_counts: Vec<usize> = work.iter().map(|w| w.iter().map(Vec::len).sum()).collect();
+        // Phase 2: kernel-free ingest.
+        let threaded = self.runtime == ClusterRuntime::Threaded;
+        let ingested = ingest_members(&mut self.members, work, threaded);
+        let mut report = ClusterPollReport::default();
+        for (mi, done) in ingested.into_iter().enumerate() {
+            let Some((stats, wall_ns)) = done else {
+                continue;
+            };
+            let polls = per_volume.iter_mut().filter(|p| p.member == mi);
+            for (poll, s) in polls.zip(&stats) {
+                poll.stats = *s;
+            }
+            if threaded {
+                self.member_wall[mi].observe(wall_ns);
+                report.member_timings.push(MemberTiming {
+                    member: mi,
+                    volumes: stats.len(),
+                    images: image_counts[mi],
+                    wall_ns,
+                });
+            }
+            // Phase 3: the member's durability flush on the coordinator.
+            let wal_before = self.members[mi].wal_errors();
+            let flush_stats = self.members[mi].flush_durable(kernel);
+            let wal_delta = self.members[mi].wal_errors() - wal_before;
+            if let Some(last) = per_volume.iter_mut().rev().find(|p| p.member == mi) {
+                last.stats += flush_stats;
+                last.wal_errors += wal_delta;
+            }
+        }
+        for poll in per_volume {
+            report.total += poll.stats;
+            report.per_volume.push(poll);
+        }
         // Evaluate the health rules over the post-sweep snapshot: the
         // fleet's counters plus the tracing scope's flight-recorder
         // gauges (spans shed, trees evicted).
@@ -388,158 +463,6 @@ impl Cluster {
         self.record_metrics(&mut reg);
         self.scope.export_metrics(&mut reg);
         report.health = provscope::health::evaluate(&self.health_rules, &reg);
-        report
-    }
-
-    fn poll_volumes_sequential(
-        &mut self,
-        kernel: &mut Kernel,
-        volumes: &[(String, MountId, VolumeId)],
-    ) -> ClusterPollReport {
-        let mut report = ClusterPollReport::default();
-        for (path, mount, volume) in volumes {
-            let member = self.route(*volume);
-            let wal_before = self.members[member].wal_errors();
-            let stats = self.members[member].poll_volume(kernel, *mount, path);
-            report.total += stats;
-            report.per_volume.push(VolumePoll {
-                member,
-                volume: *volume,
-                stats,
-                wal_errors: self.members[member].wal_errors() - wal_before,
-            });
-        }
-        report
-    }
-
-    /// The multi-core sweep. Three phases:
-    ///
-    /// 1. **Collect** (coordinator): the kernel is single-threaded, so
-    ///    the coordinator takes every volume's rotated-log queue and
-    ///    reads the log bytes, in the caller's volume order — exactly
-    ///    the files, in exactly the order, the sequential runtime
-    ///    would drain.
-    /// 2. **Ingest** (parallel): one scoped OS thread per member with
-    ///    work runs the kernel-free [`Waldo::ingest_images_offline`]
-    ///    over that member's volumes (still in caller order).
-    ///    Members share nothing but the `Sync` stores' internals, so
-    ///    the threads are data-race-free by construction, and each
-    ///    member's ingest is deterministic — the merged store is
-    ///    byte-equal to the sequential sweep's.
-    /// 3. **Flush** (coordinator): per member, persist the final
-    ///    commit frame, retire fully committed logs, run the
-    ///    checkpoint policy ([`Waldo::flush_durable`]).
-    ///
-    /// Per-volume stats keep their sequential meaning; flush-side
-    /// effects (WAL errors, checkpoints) are attributed to the
-    /// member's *last* polled volume, since the deferred flush covers
-    /// the whole sweep.
-    fn poll_volumes_threaded(
-        &mut self,
-        kernel: &mut Kernel,
-        volumes: &[(String, MountId, VolumeId)],
-    ) -> ClusterPollReport {
-        let n = self.members.len();
-        // Phase 1: collect, in caller order.
-        let mut assignments: Vec<Vec<(usize, VolumeId, Vec<LogImage>)>> =
-            (0..n).map(|_| Vec::new()).collect();
-        for (vi, (path, mount, volume)) in volumes.iter().enumerate() {
-            let member = self.route(*volume);
-            let rotated = match kernel.dpapi_at(*mount) {
-                Some(d) => d.take_log_rotations(),
-                None => Vec::new(),
-            };
-            let pid = self.members[member].pid();
-            let images: Vec<LogImage> = rotated
-                .into_iter()
-                .filter_map(|rel| {
-                    let abs = if path == "/" {
-                        format!("/{rel}")
-                    } else {
-                        format!("{path}/{rel}")
-                    };
-                    kernel
-                        .read_file(pid, &abs)
-                        .ok()
-                        .map(|bytes| LogImage { path: abs, bytes })
-                })
-                .collect();
-            assignments[member].push((vi, *volume, images));
-        }
-        // Phase 2: parallel kernel-free ingest, one thread per member.
-        let mut per_volume: Vec<Option<VolumePoll>> = volumes.iter().map(|_| None).collect();
-        let mut member_timings: Vec<MemberTiming> = Vec::new();
-        let mut flush_members: Vec<usize> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .members
-                .iter_mut()
-                .zip(assignments)
-                .enumerate()
-                .filter(|(_, (_, assigned))| !assigned.is_empty())
-                .map(|(mi, (member, assigned))| {
-                    scope.spawn(move || {
-                        let started = std::time::Instant::now();
-                        let mut polls = Vec::with_capacity(assigned.len());
-                        let mut images_total = 0usize;
-                        for (vi, volume, images) in assigned {
-                            images_total += images.len();
-                            let stats = member.ingest_images_offline(&images);
-                            polls.push((vi, volume, stats));
-                        }
-                        let wall_ns = started.elapsed().as_nanos() as u64;
-                        (mi, polls, images_total, wall_ns)
-                    })
-                })
-                .collect();
-            for handle in handles {
-                let (mi, polls, images, wall_ns) = handle.join().expect("member ingest panicked");
-                member_timings.push(MemberTiming {
-                    member: mi,
-                    volumes: polls.len(),
-                    images,
-                    wall_ns,
-                });
-                for (vi, volume, stats) in polls {
-                    per_volume[vi] = Some(VolumePoll {
-                        member: mi,
-                        volume,
-                        stats,
-                        wal_errors: 0,
-                    });
-                }
-                flush_members.push(mi);
-            }
-        });
-        // Phase 3: per-member durability flush on the coordinator.
-        flush_members.sort_unstable();
-        for mi in flush_members {
-            let wal_before = self.members[mi].wal_errors();
-            let flush_stats = self.members[mi].flush_durable(kernel);
-            let wal_delta = self.members[mi].wal_errors() - wal_before;
-            // Attribute the flush to the member's last polled volume.
-            if let Some(poll) = per_volume
-                .iter_mut()
-                .rev()
-                .flatten()
-                .find(|p| p.member == mi)
-            {
-                poll.stats += flush_stats;
-                poll.wal_errors += wal_delta;
-            }
-        }
-        let mut report = ClusterPollReport {
-            member_timings,
-            ..ClusterPollReport::default()
-        };
-        for poll in per_volume.into_iter().flatten() {
-            report.total += poll.stats;
-            report.per_volume.push(poll);
-        }
-        report.member_timings.sort_unstable_by_key(|t| t.member);
-        for t in &report.member_timings {
-            self.member_wall[t.member].observe(t.wall_ns);
-        }
         report
     }
 
@@ -646,35 +569,74 @@ impl Cluster {
 
 /// Ingests pre-read log images on every member concurrently — one
 /// scoped OS thread per member with work — and returns per-member
-/// stats, in member order. This is the bare parallel-ingest kernel of
-/// [`ClusterRuntime::Threaded`] without the kernel-bound collect and
-/// flush phases, for harnesses (the fault-injection twin runner) that
-/// already hold the log bytes. `work[i]` is member `i`'s image list;
-/// per-member ingest is deterministic, so the members' stores are
-/// byte-equal to a sequential run of the same per-member lists.
+/// stats, in member order. This is phase 2 of a
+/// [`ClusterRuntime::Threaded`] sweep without the kernel-bound collect
+/// and flush phases, for harnesses (the fault-injection twin runner)
+/// that already hold the log bytes. `work[i]` is member `i`'s image
+/// list; per-member ingest is deterministic, so the members' stores
+/// are byte-equal to a sequential run of the same per-member lists.
 pub fn ingest_images_threaded(members: &mut [Waldo], work: Vec<Vec<LogImage>>) -> Vec<IngestStats> {
     assert_eq!(
         members.len(),
         work.len(),
         "one image list per cluster member"
     );
-    let mut out: Vec<IngestStats> = members.iter().map(|_| IngestStats::default()).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = members
-            .iter_mut()
-            .zip(work)
-            .enumerate()
-            .filter(|(_, (_, images))| !images.is_empty())
-            .map(|(i, (member, images))| {
-                scope.spawn(move || (i, member.ingest_images_offline(&images)))
-            })
+    let work = work
+        .into_iter()
+        .map(|images| {
+            if images.is_empty() {
+                Vec::new()
+            } else {
+                vec![images]
+            }
+        })
+        .collect();
+    ingest_members(members, work, true)
+        .into_iter()
+        .map(|done| {
+            done.map(|(stats, _)| stats.into_iter().sum())
+                .unwrap_or_default()
+        })
+        .collect()
+}
+
+/// Phase 2 of a sweep: member `i` runs [`Waldo::ingest_images_offline`]
+/// once per image list in `work[i]` (one list per volume), on one
+/// scoped OS thread per member with work when `threaded`, else inline
+/// in member order. Returns, per member, the per-list stats and the
+/// wall-clock nanoseconds its ingest ran — `None` for a member with no
+/// lists.
+fn ingest_members(
+    members: &mut [Waldo],
+    work: Vec<Vec<Vec<LogImage>>>,
+    threaded: bool,
+) -> Vec<Option<(Vec<IngestStats>, u64)>> {
+    let run = |member: &mut Waldo, lists: Vec<Vec<LogImage>>| {
+        let started = std::time::Instant::now();
+        let stats = lists
+            .iter()
+            .map(|images| member.ingest_images_offline(images))
             .collect();
-        for handle in handles {
-            let (i, stats) = handle.join().expect("member ingest panicked");
-            out[i] = stats;
-        }
-    });
-    out
+        (stats, started.elapsed().as_nanos() as u64)
+    };
+    let jobs = members
+        .iter_mut()
+        .zip(work)
+        .map(|(member, lists)| (!lists.is_empty()).then_some((member, lists)));
+    if !threaded {
+        return jobs
+            .map(|job| job.map(|(m, lists)| run(m, lists)))
+            .collect();
+    }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = jobs
+            .map(|job| job.map(|(m, lists)| scope.spawn(move || run(m, lists))))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.map(|h| h.join().expect("member ingest panicked")))
+            .collect()
+    })
 }
 
 impl std::fmt::Debug for Cluster {

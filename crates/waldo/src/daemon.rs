@@ -39,10 +39,21 @@
 //!   newest complete checkpoint, surviving WAL frames (validated),
 //!   then replay of retained logs from the per-log marks.
 //!
-//! The legacy [`Waldo::attach_db_device`] keeps the PR 1 behavior (a
-//! WAL with no checkpoints) for comparison; without either, the store
-//! is memory-only and only daemon-crash recovery
-//! ([`Waldo::resume`] + [`Waldo::recover_volume`]) applies.
+//! Without a database directory the store is memory-only and only
+//! daemon-crash recovery ([`Waldo::resume`] +
+//! [`Waldo::recover_volume`]) applies.
+//!
+//! # One ingest path
+//!
+//! Every entry point — [`Waldo::poll_volume`],
+//! [`Waldo::ingest_log_file`], [`Waldo::recover_volume`],
+//! [`Waldo::ingest_log_image`] and [`Waldo::ingest_images_offline`] —
+//! runs the same staging loop (parse, tail accounting, replay-source
+//! registration, linked `ingest_batch` spans, stage). They differ
+//! only in what happens at a group-commit boundary: commit, persist,
+//! retire and checkpoint (the file-based drains); commit and persist
+//! (an unnamed image); or commit alone, with durability deferred to
+//! [`Waldo::flush_durable`] (offline ingest).
 
 use sim_os::fs::FsError;
 use sim_os::proc::{Fd, MountId, Pid};
@@ -165,6 +176,60 @@ pub struct LogImage {
     pub bytes: Vec<u8>,
 }
 
+/// What an ingest entry point does at each group-commit boundary,
+/// beyond committing the staged entries.
+enum Boundary<'k> {
+    /// Persist the frame, then retire fully committed logs and run the
+    /// checkpoint policy — the file-based drains.
+    Retire(&'k mut Kernel),
+    /// Persist the frame — [`Waldo::ingest_log_image`], whose image
+    /// has no replay source to retire.
+    Persist(&'k mut Kernel),
+    /// Nothing: [`Waldo::flush_durable`] persists and retires later —
+    /// [`Waldo::ingest_images_offline`], which runs without a kernel.
+    Defer,
+}
+
+impl Boundary<'_> {
+    fn kernel(&mut self) -> Option<&mut Kernel> {
+        match self {
+            Boundary::Retire(kernel) | Boundary::Persist(kernel) => Some(kernel),
+            Boundary::Defer => None,
+        }
+    }
+}
+
+/// One log the staging loop ingests.
+enum LogInput<'a> {
+    /// A closed log file, read through the kernel when its turn comes
+    /// (so one log's bytes are in memory at a time).
+    File(String),
+    /// Pre-read bytes. `path` is the replay-source identity; `None`
+    /// for an image that cannot be re-read after a crash.
+    Image {
+        path: Option<&'a str>,
+        bytes: &'a [u8],
+    },
+}
+
+/// Takes `mount`'s rotation queue as absolute log paths under
+/// `mount_path` (`"/"` or `"/mnt/x"`); `None` when the mount has no
+/// DPAPI volume.
+pub(crate) fn rotated_log_paths(
+    kernel: &mut Kernel,
+    mount: MountId,
+    mount_path: &str,
+) -> Option<Vec<String>> {
+    let rotated = kernel.dpapi_at(mount)?.take_log_rotations();
+    let base = if mount_path == "/" { "" } else { mount_path };
+    Some(
+        rotated
+            .into_iter()
+            .map(|rel| format!("{base}/{rel}"))
+            .collect(),
+    )
+}
+
 /// A fully committed source log awaiting checkpoint coverage before
 /// it may be unlinked.
 #[derive(Clone, Debug)]
@@ -191,8 +256,8 @@ pub struct Waldo {
     /// persisted; unlinking is blocked until a (re)persist succeeds.
     frame_dirty: bool,
     /// The durable home (`wal` + `checkpoints/`), when attached via
-    /// [`Waldo::attach_db_dir`]. `None` = legacy device or
-    /// memory-only; no checkpoints, no log retention.
+    /// [`Waldo::attach_db_dir`]. `None` = memory-only; no WAL, no
+    /// checkpoints, no log retention.
     db_dir: Option<String>,
     /// Bytes appended to the WAL since its last truncation (drives
     /// the `checkpoint_wal_bytes` trigger).
@@ -211,11 +276,12 @@ pub struct Waldo {
     retained: Vec<u64>,
     /// Fully committed logs gated on the retention floor.
     retired_logs: Vec<RetiredLog>,
-    /// Logs drained by [`Waldo::ingest_images_offline`] whose
-    /// retirement (unlink / retention queueing) is deferred to the
-    /// next [`Waldo::flush_durable`] — offline ingest runs without a
-    /// kernel, so it cannot unlink. `(source handle, path, total
-    /// entries)`, in drain order.
+    /// Named logs staged but not yet retired: `(source handle, path,
+    /// total entries)`, in drain order. A log leaves this queue once
+    /// all its entries have committed under a durably persisted frame
+    /// (unlinked, or moved to `retired_logs`). Offline ingest and
+    /// failed persists leave entries here for the next drain or
+    /// [`Waldo::flush_durable`].
     pending_retire: Vec<(usize, String, usize)>,
     /// True from manifest publication until truncation, garbage
     /// collection and covered-log unlinking complete — a failure in
@@ -410,16 +476,6 @@ impl Waldo {
         self.restart_report.as_ref()
     }
 
-    /// Attaches the legacy database durability device: `path` becomes
-    /// the WAL file every group commit appends its frame to (and
-    /// fsyncs). No checkpoints, no log retention — the PR 1 behavior,
-    /// kept for comparison. Prefer [`Waldo::attach_db_dir`].
-    pub fn attach_db_device(&mut self, kernel: &mut Kernel, path: &str) -> Result<(), FsError> {
-        let fd = kernel.open(self.pid, path, OpenFlags::WRONLY_CREATE)?;
-        self.db_fd = Some(fd);
-        Ok(())
-    }
-
     /// Attaches the daemon's durable home: `db_dir/wal` becomes the
     /// durability WAL (opened append, surviving restarts) and
     /// `db_dir/checkpoints` holds segments and manifests. Enables the
@@ -485,16 +541,16 @@ impl Waldo {
     }
 
     fn persist_commit_inner(&mut self, kernel: &mut Kernel) -> bool {
-        let Some(fd) = self.db_fd else {
-            // Memory-only daemons have nothing to persist; a durable
-            // daemon without a WAL descriptor is an error state (a
-            // failed truncation that could not reopen) and must not
-            // report false durability.
-            if self.db_dir.is_some() {
-                self.wal_errors += 1;
-                return false;
-            }
+        // Memory-only daemons have nothing to persist.
+        if self.db_dir.is_none() {
             return true;
+        }
+        // A durable daemon without a WAL descriptor is an error state
+        // (a failed truncation that could not reopen) and must not
+        // report false durability.
+        let Some(fd) = self.db_fd else {
+            self.wal_errors += 1;
+            return false;
         };
         let frame = self.db.last_commit_frame().to_vec();
         let wrote = kernel.write(self.pid, fd, &frame).is_ok();
@@ -510,31 +566,33 @@ impl Waldo {
         ok
     }
 
-    /// Commits staged entries and persists the latest frame. Returns
-    /// true when it is safe to retire fully committed source logs —
-    /// i.e. the newest frame is durably on the WAL device. A frame
-    /// whose persist failed earlier is retried here (each frame
-    /// carries the complete current marks, so persisting the latest
-    /// one supersedes any lost predecessor); until a persist succeeds,
-    /// every call keeps returning false and no log is unlinked.
-    fn commit_and_persist(&mut self, kernel: &mut Kernel, stats: &mut IngestStats) -> bool {
+    /// One group commit: commits the staged entries, then does what
+    /// `boundary` asks — see [`Boundary`]. A frame whose persist
+    /// failed earlier is retried here (each frame carries the complete
+    /// current marks, so persisting the latest one supersedes any lost
+    /// predecessor); until a persist succeeds no log is retired.
+    fn group_commit(&mut self, boundary: &mut Boundary<'_>, stats: &mut IngestStats) {
         let span = self.scope.open("waldo", "group_commit");
-        let r = self.commit_and_persist_inner(kernel, stats);
-        self.scope.close(span);
-        r
-    }
-
-    fn commit_and_persist_inner(&mut self, kernel: &mut Kernel, stats: &mut IngestStats) -> bool {
         let before = self.db.commit_seq();
         self.db.commit_staged(stats);
         if self.db.commit_seq() != before {
             self.frame_dirty = true;
             self.commits_since_checkpoint += self.db.commit_seq() - before;
         }
+        if let Some(kernel) = boundary.kernel() {
+            self.persist_dirty(kernel);
+        }
+        self.scope.close(span);
+        if let Boundary::Retire(kernel) = boundary {
+            self.settle(kernel, stats);
+        }
+    }
+
+    /// Persists the latest commit frame if it is not durable yet.
+    fn persist_dirty(&mut self, kernel: &mut Kernel) {
         if self.frame_dirty && self.persist_commit(kernel) {
             self.frame_dirty = false;
         }
-        !self.frame_dirty
     }
 
     /// Commit frames that failed to persist. Nonzero means some fully
@@ -752,21 +810,10 @@ impl Waldo {
         mount: MountId,
         mount_path: &str,
     ) -> IngestStats {
-        let rotated = match kernel.dpapi_at(mount) {
-            Some(d) => d.take_log_rotations(),
-            None => return IngestStats::default(),
-        };
-        let paths: Vec<String> = rotated
-            .into_iter()
-            .map(|rel| {
-                if mount_path == "/" {
-                    format!("/{rel}")
-                } else {
-                    format!("{mount_path}/{rel}")
-                }
-            })
-            .collect();
-        self.drain_logs(kernel, paths)
+        match rotated_log_paths(kernel, mount, mount_path) {
+            Some(paths) => self.drain_logs(kernel, paths),
+            None => IngestStats::default(),
+        }
     }
 
     /// Reads, ingests and unlinks one log file, committing in the
@@ -777,27 +824,88 @@ impl Waldo {
         self.drain_logs(kernel, vec![path.to_string()])
     }
 
-    /// The shared ingestion loop: stages each log's entries (skipping
-    /// any prefix a pre-crash predecessor already committed),
-    /// group-commits every `ingest_batch` entries — batches may span
-    /// files — retires each log as soon as all of its entries have
-    /// committed, and publishes checkpoints as the policy fires.
+    /// Drains closed log files, reading them one at a time: every
+    /// group commit persists its frame, retires each log as soon as
+    /// all of its entries have committed, and publishes checkpoints
+    /// as the policy fires.
     fn drain_logs(&mut self, kernel: &mut Kernel, paths: Vec<String>) -> IngestStats {
+        self.stage_logs(
+            paths.into_iter().map(LogInput::File),
+            Boundary::Retire(kernel),
+        )
+    }
+
+    /// Ingests one raw Lasagna log image that arrives **by value**
+    /// rather than through the file system — the PA-NFS server drains
+    /// its export's logs ([`NfsServer::drain_provenance_logs`]) and
+    /// hands the images to the server-side daemon. Semantically one
+    /// [`Waldo::ingest_log_file`] of an unnamed, already-unlinked log:
+    /// entries are staged without a replay source (the image cannot be
+    /// re-read after a crash) and group-committed in the configured
+    /// batches.
+    ///
+    /// [`NfsServer::drain_provenance_logs`]: ../pa_nfs/struct.NfsServer.html#method.drain_provenance_logs
+    pub fn ingest_log_image(&mut self, kernel: &mut Kernel, image: &[u8]) -> IngestStats {
+        let log = LogInput::Image {
+            path: None,
+            bytes: image,
+        };
+        self.stage_logs(std::iter::once(log), Boundary::Persist(kernel))
+    }
+
+    /// Stages and group-commits pre-read log images **without touching
+    /// the kernel**, so it can run on a worker thread while the
+    /// coordinator keeps the (single-threaded) kernel. The store this
+    /// produces is byte-identical to [`Waldo::poll_volume`] draining
+    /// the same files in the same order — entries stage at the same
+    /// positions and commits fire at the same batch boundaries — only
+    /// durability (WAL persist), log retirement and checkpoints are
+    /// deferred to the next [`Waldo::flush_durable`]. Each commit
+    /// frame carries the complete current replay marks, so persisting
+    /// only the final frame supersedes the skipped ones; frames are
+    /// accounting, never recovery state.
+    pub fn ingest_images_offline(&mut self, images: &[LogImage]) -> IngestStats {
+        let logs = images.iter().map(|i| LogInput::Image {
+            path: Some(&i.path),
+            bytes: &i.bytes,
+        });
+        self.stage_logs(logs, Boundary::Defer)
+    }
+
+    /// The one staging loop behind every ingest entry point: parses
+    /// each log, counts a cut or corrupt tail, registers a named log
+    /// as a replay source (skipping any prefix a pre-crash predecessor
+    /// already committed), links an `ingest_batch` span to each group
+    /// frame's disclosure trace, stages, and group-commits every
+    /// `ingest_batch` entries — batches may span logs. Named logs then
+    /// wait in the retirement queue; `boundary` decides what each
+    /// group commit does beyond committing.
+    fn stage_logs<'a>(
+        &mut self,
+        logs: impl IntoIterator<Item = LogInput<'a>>,
+        mut boundary: Boundary<'_>,
+    ) -> IngestStats {
         let drain_span = self.scope.open("waldo", "drain_logs");
         let mut total = IngestStats::default();
-        // (source handle, path, total entries) of each log read so
-        // far, for post-commit retirement.
-        let mut files: Vec<(usize, String, usize)> = Vec::new();
         // Linked per-batch ingest spans, open between a group frame's
         // TxnBegin and its TxnEnd — joining the trace of the
         // disclosure transaction whose batch id frames the group.
         let mut batch_spans: Vec<(u64, provscope::SpanHandle)> = Vec::new();
         let batch = self.db.config().ingest_batch.max(1);
-        for abs in paths {
-            let Ok(bytes) = kernel.read_file(self.pid, &abs) else {
-                continue;
+        for log in logs {
+            let read;
+            let (path, bytes): (Option<&str>, &[u8]) = match &log {
+                LogInput::File(path) => {
+                    let Some(Ok(bytes)) = boundary.kernel().map(|k| k.read_file(self.pid, path))
+                    else {
+                        continue;
+                    };
+                    read = bytes;
+                    (Some(path), &read)
+                }
+                LogInput::Image { path, bytes } => (*path, bytes),
             };
-            let (entries, tail) = lasagna::parse_log(&bytes);
+            let (entries, tail) = lasagna::parse_log(bytes);
             match tail {
                 lasagna::LogTail::Clean => {}
                 lasagna::LogTail::Truncated { .. } => {
@@ -809,9 +917,15 @@ impl Waldo {
                     self.log_tails_corrupt += 1;
                 }
             }
-            let (src, mark) = self.db.register_source(&abs);
+            let (src, mark) = match path {
+                Some(path) => {
+                    let (src, mark) = self.db.register_source(path);
+                    (Some(src), mark)
+                }
+                None => (None, 0),
+            };
             if mark == 0 {
-                // Fresh file: a new log image starts a new transaction
+                // Fresh log: a new log image starts a new transaction
                 // scope. (A nonzero mark means we are resuming a
                 // partially committed file after a crash — the store's
                 // committed transaction context already sits exactly
@@ -839,19 +953,17 @@ impl Waldo {
                         _ => {}
                     }
                 }
-                self.db.stage(e, Some(src));
-                if self.db.staged_len() >= batch && self.commit_and_persist(kernel, &mut total) {
-                    self.retire_committed(kernel, &mut files);
-                    self.maybe_checkpoint(kernel, &mut total);
+                self.db.stage(e, src);
+                if self.db.staged_len() >= batch {
+                    self.group_commit(&mut boundary, &mut total);
                 }
             }
-            files.push((src, abs, n));
+            if let (Some(src), Some(path)) = (src, path) {
+                self.pending_retire.push((src, path.to_string(), n));
+            }
             self.processed_logs += 1;
         }
-        if self.commit_and_persist(kernel, &mut total) {
-            self.retire_committed(kernel, &mut files);
-            self.maybe_checkpoint(kernel, &mut total);
-        }
+        self.group_commit(&mut boundary, &mut total);
         // Frames torn before their TxnEnd leave their span open;
         // close them so the trace stays well-formed.
         for (_, h) in batch_spans {
@@ -861,174 +973,27 @@ impl Waldo {
         total
     }
 
-    /// Ingests one raw Lasagna log image that arrives **by value**
-    /// rather than through the file system — the PA-NFS server drains
-    /// its export's logs ([`NfsServer::drain_provenance_logs`]) and
-    /// hands the images to the server-side daemon. Semantically one
-    /// [`Waldo::ingest_log_file`] of an unnamed, already-unlinked log:
-    /// entries are staged without a replay source (the image cannot be
-    /// re-read after a crash) and group-committed in the configured
-    /// batches.
-    ///
-    /// [`NfsServer::drain_provenance_logs`]: ../pa_nfs/struct.NfsServer.html#method.drain_provenance_logs
-    pub fn ingest_log_image(&mut self, kernel: &mut Kernel, image: &[u8]) -> IngestStats {
-        let drain_span = self.scope.open("waldo", "drain_logs");
-        let mut total = IngestStats::default();
-        let mut batch_spans: Vec<(u64, provscope::SpanHandle)> = Vec::new();
-        let batch = self.db.config().ingest_batch.max(1);
-        let (entries, tail) = lasagna::parse_log(image);
-        match tail {
-            lasagna::LogTail::Clean => {}
-            lasagna::LogTail::Truncated { .. } => {
-                total.tails_truncated += 1;
-                self.log_tails_truncated += 1;
-            }
-            lasagna::LogTail::Corrupt { .. } => {
-                total.tails_corrupt += 1;
-                self.log_tails_corrupt += 1;
-            }
-        }
-        self.db.begin_stream();
-        for e in entries {
-            if self.scope.is_enabled() {
-                match &e {
-                    lasagna::LogEntry::TxnBegin { id } => {
-                        let h = self.scope.open_linked(
-                            "waldo",
-                            "ingest_batch",
-                            provscope::TraceId(*id),
-                        );
-                        batch_spans.push((*id, h));
-                    }
-                    lasagna::LogEntry::TxnEnd { id } => {
-                        if let Some(pos) = batch_spans.iter().rposition(|(b, _)| b == id) {
-                            let (_, h) = batch_spans.remove(pos);
-                            self.scope.close(h);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            self.db.stage(e, None);
-            if self.db.staged_len() >= batch {
-                self.commit_and_persist(kernel, &mut total);
-            }
-        }
-        self.commit_and_persist(kernel, &mut total);
-        self.processed_logs += 1;
-        for (_, h) in batch_spans {
-            self.scope.close(h);
-        }
-        self.scope.close(drain_span);
-        total
-    }
-
-    /// The kernel-free half of `Waldo::drain_logs`: stages and
-    /// group-commits pre-read log images **without touching the
-    /// kernel**, so it can run on a worker thread while the
-    /// coordinator keeps the (single-threaded) kernel. The store this
-    /// produces is byte-identical to `drain_logs` over the same files
-    /// in the same order — entries stage at the same positions and
-    /// commits fire at the same batch boundaries — only durability
-    /// (WAL persist), log retirement and checkpoints are deferred to
-    /// the next [`Waldo::flush_durable`] on the coordinator. Each
-    /// commit frame carries the complete current replay marks, so
-    /// persisting only the final frame supersedes the skipped ones;
-    /// frames are accounting, never recovery state.
-    pub fn ingest_images_offline(&mut self, images: &[LogImage]) -> IngestStats {
-        let drain_span = self.scope.open("waldo", "drain_logs");
-        let mut total = IngestStats::default();
-        let mut batch_spans: Vec<(u64, provscope::SpanHandle)> = Vec::new();
-        let batch = self.db.config().ingest_batch.max(1);
-        for image in images {
-            let (entries, tail) = lasagna::parse_log(&image.bytes);
-            match tail {
-                lasagna::LogTail::Clean => {}
-                lasagna::LogTail::Truncated { .. } => {
-                    total.tails_truncated += 1;
-                    self.log_tails_truncated += 1;
-                }
-                lasagna::LogTail::Corrupt { .. } => {
-                    total.tails_corrupt += 1;
-                    self.log_tails_corrupt += 1;
-                }
-            }
-            let (src, mark) = self.db.register_source(&image.path);
-            if mark == 0 {
-                self.db.begin_stream();
-            }
-            let n = entries.len();
-            for e in entries.into_iter().skip(mark) {
-                if self.scope.is_enabled() {
-                    match &e {
-                        lasagna::LogEntry::TxnBegin { id } => {
-                            let h = self.scope.open_linked(
-                                "waldo",
-                                "ingest_batch",
-                                provscope::TraceId(*id),
-                            );
-                            batch_spans.push((*id, h));
-                        }
-                        lasagna::LogEntry::TxnEnd { id } => {
-                            if let Some(pos) = batch_spans.iter().rposition(|(b, _)| b == id) {
-                                let (_, h) = batch_spans.remove(pos);
-                                self.scope.close(h);
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                self.db.stage(e, Some(src));
-                if self.db.staged_len() >= batch {
-                    self.commit_offline(&mut total);
-                }
-            }
-            self.pending_retire.push((src, image.path.clone(), n));
-            self.processed_logs += 1;
-        }
-        self.commit_offline(&mut total);
-        for (_, h) in batch_spans {
-            self.scope.close(h);
-        }
-        self.scope.close(drain_span);
-        total
-    }
-
-    /// Commits staged entries without persisting — the worker-thread
-    /// half of [`Waldo::commit_and_persist`]. Leaves `frame_dirty`
-    /// set so the coordinator's [`Waldo::flush_durable`] persists the
-    /// (cumulative) latest frame.
-    fn commit_offline(&mut self, stats: &mut IngestStats) {
-        let span = self.scope.open("waldo", "group_commit");
-        let before = self.db.commit_seq();
-        self.db.commit_staged(stats);
-        if self.db.commit_seq() != before {
-            self.frame_dirty = true;
-            self.commits_since_checkpoint += self.db.commit_seq() - before;
-        }
-        self.scope.close(span);
-    }
-
     /// The coordinator-side completion of offline ingest: persists
     /// the latest commit frame (one append + fsync — the durability
     /// cost the deferral amortized), retires the logs
     /// [`Waldo::ingest_images_offline`] fully committed, and runs the
     /// checkpoint policy. Returns the checkpoint counters the flush
     /// produced. A persist failure leaves everything queued — no log
-    /// is unlinked until a later flush (or ordinary drain) succeeds,
-    /// exactly like the sequential path.
+    /// is unlinked until a later flush (or ordinary drain) succeeds.
     pub fn flush_durable(&mut self, kernel: &mut Kernel) -> IngestStats {
         let mut stats = IngestStats::default();
-        if self.frame_dirty && self.persist_commit(kernel) {
-            self.frame_dirty = false;
-        }
-        if !self.frame_dirty {
-            let mut files = std::mem::take(&mut self.pending_retire);
-            self.retire_committed(kernel, &mut files);
-            self.pending_retire = files;
-            self.maybe_checkpoint(kernel, &mut stats);
-        }
+        self.persist_dirty(kernel);
+        self.settle(kernel, &mut stats);
         stats
+    }
+
+    /// Once the latest frame is durable: retires fully committed logs
+    /// and runs the checkpoint policy.
+    fn settle(&mut self, kernel: &mut Kernel, stats: &mut IngestStats) {
+        if !self.frame_dirty {
+            self.retire_committed(kernel);
+            self.maybe_checkpoint(kernel, stats);
+        }
     }
 
     fn maybe_checkpoint(&mut self, kernel: &mut Kernel, stats: &mut IngestStats) {
@@ -1076,10 +1041,10 @@ impl Waldo {
     /// one they enter the retirement queue until the retention floor
     /// covers them — unlinking a log before a checkpoint captures its
     /// effects would make a machine crash unrecoverable.
-    fn retire_committed(&mut self, kernel: &mut Kernel, files: &mut Vec<(usize, String, usize)>) {
+    fn retire_committed(&mut self, kernel: &mut Kernel) {
         let durable = self.db_dir.is_some();
         let seq = self.db.commit_seq();
-        files.retain(|(src, path, total)| {
+        self.pending_retire.retain(|(src, path, total)| {
             if self.db.source_fully_committed(*src, *total) {
                 if durable {
                     // The same log can be drained twice while it
@@ -1255,6 +1220,50 @@ mod tests {
         assert_eq!(waldo.checkpoint_stats().logs_retired, 1);
         // Nothing new: a second checkpoint is a no-op.
         assert!(!waldo.checkpoint(&mut sys.kernel).unwrap());
+    }
+
+    /// A drain whose persist fails keeps its logs queued for
+    /// retirement: the next successful flush retires them and the
+    /// covering checkpoint unlinks them, with no restart needed.
+    #[test]
+    fn logs_of_a_failed_persist_are_retired_by_the_next_flush() {
+        let mut sys = System::single_volume();
+        let pid = sys.spawn("sh");
+        sys.kernel.write_file(pid, "/f", b"x").unwrap();
+        let (_, m, _) = sys.volumes[0];
+        sys.kernel.dpapi_at(m).unwrap().force_log_rotation();
+
+        let waldo_pid = sys.kernel.spawn_init("waldo");
+        sys.pass.exempt(waldo_pid);
+        let mut waldo = Waldo::with_config(
+            waldo_pid,
+            WaldoConfig {
+                checkpoint_commits: 0,
+                checkpoint_wal_bytes: 0,
+                keep_checkpoints: 1,
+                ..WaldoConfig::default()
+            },
+        );
+        waldo.attach_db_dir(&mut sys.kernel, "/waldo-db").unwrap();
+        // Without its WAL descriptor every persist of the drain fails.
+        let fd = waldo.db_fd.take();
+        waldo.poll_volume(&mut sys.kernel, m, "/");
+        assert!(waldo.wal_errors() > 0);
+        waldo.db_fd = fd;
+        waldo.flush_durable(&mut sys.kernel);
+        assert!(waldo.checkpoint(&mut sys.kernel).unwrap());
+        let names: Vec<String> = sys
+            .kernel
+            .readdir(waldo_pid, "/.pass")
+            .unwrap()
+            .into_iter()
+            .map(|e| e.name)
+            .collect();
+        assert!(
+            !names.contains(&"log.0".to_string()),
+            "the log must be retired once a persist succeeds"
+        );
+        assert_eq!(waldo.checkpoint_stats().logs_retired, 1);
     }
 
     /// A fresh daemon attached to a directory holding a foreign

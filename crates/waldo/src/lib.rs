@@ -25,8 +25,8 @@
 //!   *and* covered by a checkpoint (when durably attached);
 //! * [`wal`] — the length-prefixed, CRC-closed codec for the
 //!   per-commit durability frames on the database WAL;
-//! * [`checkpoint`] — durable per-shard segments (format v2 carries
-//!   the attribute index, so indexed queries survive cold restart
+//! * [`checkpoint`] — durable per-shard segments (carrying the
+//!   attribute index, so indexed queries survive cold restart
 //!   without a rebuild scan), atomically published manifests, WAL
 //!   truncation and the cold-restart path
 //!   ([`daemon::Waldo::restart`]);

@@ -15,8 +15,8 @@
 //!             commit_txn (u8 flag, u64),
 //!             txns u32, n × (id u64, entries u32, bytes u32, log image),
 //!             sources u32, n × (str path, mark u64),
-//!             [v3+] batch_hw u32, n × (volume u32, seq u64),
-//!             [v3+] replay_skip (u8 flag, u64),
+//!             batch_hw u32, n × (volume u32, seq u64),
+//!             replay_skip (u8 flag, u64),
 //!             crc32 u32
 //! ```
 //!
@@ -32,16 +32,8 @@ use dpapi::{DpapiError, Result};
 use lasagna::{crc32, parse_log, LogEntry, LogTail};
 
 const MAGIC: &[u8; 4] = b"WMAN";
-/// Current manifest format version. v2 declares that the referenced
-/// segments carry the generalized attribute index (segment format
-/// v2) with the layout unchanged. v3 appends the per-volume batch
-/// replay high-water marks and the open replay-skip region after the
-/// source slots; pre-v3 manifests — which carry neither — decode
-/// with both empty, so a restart from an old checkpoint simply
-/// re-learns the marks as batches commit.
+/// The manifest format version, the only one the decoder accepts.
 pub const MANIFEST_VERSION: u16 = 3;
-/// Oldest manifest version the decoder accepts.
-pub const MANIFEST_MIN_VERSION: u16 = 1;
 
 /// One shard's segment as the manifest records it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,27 +68,18 @@ pub(crate) struct Manifest {
     /// Source-log replay slots: `(path, committed mark)`; an empty
     /// path is a free slot (kept to preserve handle indices).
     pub sources: Vec<(String, u64)>,
-    /// Per-volume batch replay high-water marks, sorted by volume
-    /// (v3+; empty when decoded from older manifests).
+    /// Per-volume batch replay high-water marks, sorted by volume.
     pub batch_hw: Vec<(u32, u64)>,
     /// The replayed batch the committed stream prefix was skipping
-    /// through, if a crash interrupted one (v3+).
+    /// through, if a crash interrupted one.
     pub replay_skip: Option<u64>,
 }
 
-/// Serializes a manifest at the current format version.
+/// Serializes a manifest.
 pub(crate) fn encode_manifest(m: &Manifest) -> Vec<u8> {
-    encode_manifest_versioned(m, MANIFEST_VERSION)
-}
-
-/// Serializes a manifest at an explicit format version, omitting the
-/// sections that version did not define — so compatibility tests can
-/// produce byte-faithful old-format images instead of restamping the
-/// version field under a newer layout.
-pub(crate) fn encode_manifest_versioned(m: &Manifest, version: u16) -> Vec<u8> {
     let mut buf = BytesMut::with_capacity(256);
     buf.put_slice(MAGIC);
-    buf.put_u16_le(version);
+    buf.put_u16_le(MANIFEST_VERSION);
     buf.put_u64_le(m.seq);
     buf.put_u32_le(m.segments.len() as u32);
     for seg in &m.segments {
@@ -134,21 +117,19 @@ pub(crate) fn encode_manifest_versioned(m: &Manifest, version: u16) -> Vec<u8> {
         buf.put_slice(path.as_bytes());
         buf.put_u64_le(*mark);
     }
-    if version >= 3 {
-        buf.put_u32_le(m.batch_hw.len() as u32);
-        for (volume, seq) in &m.batch_hw {
-            buf.put_u32_le(*volume);
-            buf.put_u64_le(*seq);
+    buf.put_u32_le(m.batch_hw.len() as u32);
+    for (volume, seq) in &m.batch_hw {
+        buf.put_u32_le(*volume);
+        buf.put_u64_le(*seq);
+    }
+    match m.replay_skip {
+        Some(id) => {
+            buf.put_u8(1);
+            buf.put_u64_le(id);
         }
-        match m.replay_skip {
-            Some(id) => {
-                buf.put_u8(1);
-                buf.put_u64_le(id);
-            }
-            None => {
-                buf.put_u8(0);
-                buf.put_u64_le(0);
-            }
+        None => {
+            buf.put_u8(0);
+            buf.put_u64_le(0);
         }
     }
     let crc = crc32(&buf);
@@ -178,7 +159,7 @@ pub(crate) fn decode_manifest(data: &[u8]) -> Result<Manifest> {
         return Err(DpapiError::Malformed("bad manifest magic".into()));
     }
     let version = buf.get_u16_le();
-    if !(MANIFEST_MIN_VERSION..=MANIFEST_VERSION).contains(&version) {
+    if version != MANIFEST_VERSION {
         return Err(DpapiError::Malformed(format!(
             "unsupported manifest version {version}"
         )));
@@ -236,23 +217,19 @@ pub(crate) fn decode_manifest(data: &[u8]) -> Result<Manifest> {
         };
         sources.push((path, mark));
     }
-    let mut batch_hw = Vec::new();
-    let mut replay_skip = None;
-    if version >= 3 {
-        need(&buf, 4, "batch high-water count")?;
-        let n_hw = buf.get_u32_le() as usize;
-        batch_hw.reserve(n_hw.min(1024));
-        for _ in 0..n_hw {
-            need(&buf, 12, "batch high-water entry")?;
-            let volume = buf.get_u32_le();
-            let seq = buf.get_u64_le();
-            batch_hw.push((volume, seq));
-        }
-        need(&buf, 9, "replay skip")?;
-        let flag = buf.get_u8();
-        let id = buf.get_u64_le();
-        replay_skip = (flag != 0).then_some(id);
+    need(&buf, 4, "batch high-water count")?;
+    let n_hw = buf.get_u32_le() as usize;
+    let mut batch_hw = Vec::with_capacity(n_hw.min(1024));
+    for _ in 0..n_hw {
+        need(&buf, 12, "batch high-water entry")?;
+        let volume = buf.get_u32_le();
+        let seq = buf.get_u64_le();
+        batch_hw.push((volume, seq));
     }
+    need(&buf, 9, "replay skip")?;
+    let flag = buf.get_u8();
+    let id = buf.get_u64_le();
+    let replay_skip = (flag != 0).then_some(id);
     if buf.has_remaining() {
         return Err(DpapiError::Malformed("trailing bytes in manifest".into()));
     }
@@ -326,32 +303,21 @@ mod tests {
         }
     }
 
-    /// Old-format manifests still decode — v1/v2 images (no batch
-    /// replay section) come back with empty batch state — and a
-    /// future version is rejected. The old images are produced by the
-    /// versioned encoder, byte-faithful to what those releases wrote.
+    /// Any version but the current one — the older v1/v2 layouts or
+    /// an unknown future one — is rejected with the typed error.
     #[test]
-    fn old_manifest_version_accepted_future_rejected() {
-        let m = sample();
-        let pre_v3 = Manifest {
-            batch_hw: Vec::new(),
-            replay_skip: None,
-            ..m.clone()
-        };
-        for version in [1u16, 2] {
-            let enc = encode_manifest_versioned(&m, version);
-            assert_eq!(
-                decode_manifest(&enc).unwrap(),
-                pre_v3,
-                "v{version} manifests must decode with empty batch state"
+    fn old_and_future_manifest_versions_are_rejected() {
+        for version in [0u16, 1, 2, MANIFEST_VERSION + 1] {
+            let mut enc = encode_manifest(&sample());
+            enc[4..6].copy_from_slice(&version.to_le_bytes());
+            let body = enc.len() - 4;
+            let crc = crc32(&enc[..body]).to_le_bytes();
+            enc[body..].copy_from_slice(&crc);
+            assert!(
+                matches!(decode_manifest(&enc), Err(DpapiError::Malformed(_))),
+                "manifest version {version} must be rejected"
             );
         }
-        let mut future = encode_manifest(&m);
-        future[4] = 4;
-        let body = future.len() - 4;
-        let crc = crc32(&future[..body]).to_le_bytes();
-        future[body..].copy_from_slice(&crc);
-        assert!(decode_manifest(&future).is_err());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! ```text
 //! segment := magic "WSEG", version u16, shard u32, generation u64,
 //!            db_bytes u64, index_bytes u64,
-//!            objects, names, types, reverse, attrs,   (attrs: v2+)
+//!            objects, names, types, reverse, attrs,
 //!            crc32(everything before) u32
 //! objects := u32 n, n × (pnode, current u32,
 //!            u32 nv, nv × (v u32, u32 na, na × record,
@@ -24,12 +24,10 @@
 //! attr    := u16 len, len bytes          record := dpapi::wire record
 //! ```
 //!
-//! Format **v2** appends the generalized attribute index (the PQL
-//! pushdown index, `Shard::attr_index`) after the reverse section, so
-//! indexed queries survive a cold restart without a rebuild scan.
-//! **v1** images (no `attrs` section) still decode: the loader
-//! rebuilds the attribute index from the object table it just
-//! rehydrated — the upgrade path for pre-v2 checkpoints.
+//! The `attrs` section is the generalized attribute index (the PQL
+//! pushdown index, `Shard::attr_index`), so indexed queries survive a
+//! cold restart without a rebuild scan. The decoder accepts only the
+//! current [`SEGMENT_VERSION`]; any other version is `Malformed`.
 //!
 //! The encoding is **canonical**: objects sort by pnode, index entries
 //! by key, and reverse-edge lists by `(descendant, ancestor version,
@@ -46,12 +44,8 @@ use crate::db::{ObjectEntry, VersionEntry};
 use crate::shard::Shard;
 
 const MAGIC: &[u8; 4] = b"WSEG";
-/// Current segment format version: v2 carries the generalized
-/// attribute index; v1 images are still readable (the index is
-/// rebuilt from the object table at load).
+/// The segment format version, the only one the decoder accepts.
 pub const SEGMENT_VERSION: u16 = 2;
-/// Oldest format version the decoder accepts.
-pub const SEGMENT_MIN_VERSION: u16 = 1;
 
 fn put_pnode(buf: &mut BytesMut, p: Pnode) {
     buf.put_u32_le(p.volume.0);
@@ -156,23 +150,9 @@ fn get_index(
 /// counter tracks how commits were *grouped*, not what the shard
 /// contains, and replay after a crash may group commits differently.
 pub(crate) fn encode_shard(shard_index: u32, shard: &Shard, generation: u64) -> Vec<u8> {
-    encode_shard_versioned(shard_index, shard, generation, SEGMENT_VERSION)
-}
-
-/// Versioned encoder: v2 (current) appends the attribute-index
-/// section, v1 reproduces the pre-index layout byte for byte. v1
-/// encoding exists for the upgrade-path tests — production
-/// checkpoints always write the current version.
-pub(crate) fn encode_shard_versioned(
-    shard_index: u32,
-    shard: &Shard,
-    generation: u64,
-    version: u16,
-) -> Vec<u8> {
-    debug_assert!((SEGMENT_MIN_VERSION..=SEGMENT_VERSION).contains(&version));
     let mut buf = BytesMut::with_capacity(4096);
     buf.put_slice(MAGIC);
-    buf.put_u16_le(version);
+    buf.put_u16_le(SEGMENT_VERSION);
     buf.put_u32_le(shard_index);
     buf.put_u64_le(generation);
     buf.put_u64_le(shard.size.db_bytes);
@@ -230,17 +210,15 @@ pub(crate) fn encode_shard_versioned(
         }
     }
 
-    if version >= 2 {
-        buf.put_u32_le(shard.attr_index.len() as u32);
-        for (attr, values) in &shard.attr_index {
-            put_str(&mut buf, attr);
-            buf.put_u32_le(values.len() as u32);
-            for (value, set) in values {
-                put_str(&mut buf, value);
-                buf.put_u32_le(set.len() as u32);
-                for p in set {
-                    put_pnode(&mut buf, *p);
-                }
+    buf.put_u32_le(shard.attr_index.len() as u32);
+    for (attr, values) in &shard.attr_index {
+        put_str(&mut buf, attr);
+        buf.put_u32_le(values.len() as u32);
+        for (value, set) in values {
+            put_str(&mut buf, value);
+            buf.put_u32_le(set.len() as u32);
+            for p in set {
+                put_pnode(&mut buf, *p);
             }
         }
     }
@@ -268,7 +246,7 @@ pub(crate) fn decode_shard(data: &[u8]) -> Result<(u32, Shard)> {
         return Err(DpapiError::Malformed("bad segment magic".into()));
     }
     let version = buf.get_u16_le();
-    if !(SEGMENT_MIN_VERSION..=SEGMENT_VERSION).contains(&version) {
+    if version != SEGMENT_VERSION {
         return Err(DpapiError::Malformed(format!(
             "unsupported segment version {version}"
         )));
@@ -328,28 +306,21 @@ pub(crate) fn decode_shard(data: &[u8]) -> Result<(u32, Shard)> {
         shard.reverse_index.insert(ancestor, edges);
     }
 
-    if version >= 2 {
-        let n_attrs = get_u32(&mut buf, "attr index size")? as usize;
-        for _ in 0..n_attrs {
-            let attr = get_str(&mut buf, "attr index name")?;
-            let m = get_u32(&mut buf, "attr value count")? as usize;
-            let mut values = std::collections::BTreeMap::new();
-            for _ in 0..m {
-                let value = get_str(&mut buf, "attr index value")?;
-                let k = get_u32(&mut buf, "attr entry count")? as usize;
-                let mut set = std::collections::BTreeSet::new();
-                for _ in 0..k {
-                    set.insert(get_pnode(&mut buf)?);
-                }
-                values.insert(value, set);
+    let n_attrs = get_u32(&mut buf, "attr index size")? as usize;
+    for _ in 0..n_attrs {
+        let attr = get_str(&mut buf, "attr index name")?;
+        let m = get_u32(&mut buf, "attr value count")? as usize;
+        let mut values = std::collections::BTreeMap::new();
+        for _ in 0..m {
+            let value = get_str(&mut buf, "attr index value")?;
+            let k = get_u32(&mut buf, "attr entry count")? as usize;
+            let mut set = std::collections::BTreeSet::new();
+            for _ in 0..k {
+                set.insert(get_pnode(&mut buf)?);
             }
-            shard.attr_index.insert(attr, values);
+            values.insert(value, set);
         }
-    } else {
-        // v1 image: the attribute index predates the format — rebuild
-        // it from the object table just rehydrated (the one-time
-        // upgrade scan v2 makes unnecessary).
-        shard.rebuild_attr_index();
+        shard.attr_index.insert(attr, values);
     }
 
     if buf.has_remaining() {
@@ -362,16 +333,6 @@ pub(crate) fn decode_shard(data: &[u8]) -> Result<(u32, Shard)> {
 /// file, including its trailing self-check.
 pub(crate) fn segment_crc(data: &[u8]) -> u32 {
     lasagna::crc32(data)
-}
-
-/// The format version stamped in a segment image's header (0 for
-/// images too short to carry one — callers only compare against
-/// [`SEGMENT_VERSION`], and such images fail decode anyway).
-pub(crate) fn image_format_version(data: &[u8]) -> u16 {
-    if data.len() < 6 || &data[..4] != MAGIC {
-        return 0;
-    }
-    u16::from_le_bytes([data[4], data[5]])
 }
 
 #[cfg(test)]
@@ -398,7 +359,7 @@ mod tests {
                 subject: sub,
                 record: ProvenanceRecord::input(ObjectRef::new(p2, Version(3))),
             },
-            // An application attribute, so the v2 attribute index is
+            // An application attribute, so the attribute index is
             // populated and round-tripped.
             LogEntry::Prov {
                 subject: sub,
@@ -444,36 +405,24 @@ mod tests {
         assert_eq!(encode_shard(3, &back, back.generation), img);
     }
 
-    /// A v1 image (no attribute-index section) decodes, the index is
-    /// rebuilt from the object table, and re-encoding upgrades it to
-    /// bytes identical to a direct v2 encoding of the same shard.
+    /// Any version but the current one — the pre-index v1 layout or
+    /// an unknown future one — is rejected with the typed error.
     #[test]
-    fn v1_segment_upgrades_and_rebuilds_the_attr_index() {
+    fn old_and_future_segment_versions_are_rejected() {
         let shard = sample_shard();
-        let v1 = encode_shard_versioned(3, &shard, shard.generation, 1);
-        let v2 = encode_shard(3, &shard, shard.generation);
-        assert_ne!(v1, v2, "v2 must actually extend the format");
-        let (idx, back) = decode_shard(&v1).unwrap();
-        assert_eq!(idx, 3);
-        assert_eq!(
-            back.attr_index, shard.attr_index,
-            "index rebuilt from objects"
-        );
-        assert_eq!(encode_shard(3, &back, back.generation), v2);
-    }
-
-    /// Unknown future versions are rejected outright.
-    #[test]
-    fn future_segment_version_is_rejected() {
-        let shard = sample_shard();
-        let mut img = encode_shard(9, &shard, shard.generation);
-        // Patch the version field (offset 4, little-endian u16) and
-        // re-close the CRC so only the version check can fail.
-        img[4] = 3;
-        let body_len = img.len() - 4;
-        let crc = lasagna::crc32(&img[..body_len]).to_le_bytes();
-        img[body_len..].copy_from_slice(&crc);
-        assert!(decode_shard(&img).is_err());
+        for version in [0u16, 1, SEGMENT_VERSION + 1] {
+            let mut img = encode_shard(9, &shard, shard.generation);
+            // Patch the version field (offset 4, little-endian u16)
+            // and re-close the CRC so only the version check can fail.
+            img[4..6].copy_from_slice(&version.to_le_bytes());
+            let body_len = img.len() - 4;
+            let crc = lasagna::crc32(&img[..body_len]).to_le_bytes();
+            img[body_len..].copy_from_slice(&crc);
+            assert!(
+                matches!(decode_shard(&img), Err(DpapiError::Malformed(_))),
+                "segment version {version} must be rejected"
+            );
+        }
     }
 
     #[test]

@@ -39,7 +39,8 @@ fn arb_entry() -> impl Strategy<Value = LogEntry> {
             prov(s, Attribute::Type, Value::str(ty))
         }),
         // Application attributes populate the generalized attribute
-        // index, so checkpoints cover segment format v2's new section.
+        // index, so checkpoints cover the segment's attribute-index
+        // section.
         (subject.clone(), 0u32..3, "[a-z]{1,6}").prop_map(|(s, a, val)| {
             let attr = ["PHASE", "STAGE", "OWNER"][a as usize];
             prov(s, Attribute::Other(attr.into()), Value::Str(val))
