@@ -224,8 +224,10 @@ fn bench_queries(c: &mut Criterion) {
 fn trace_mode() {
     let db = build_db(400);
     let tick = std::sync::atomic::AtomicU64::new(0);
-    let scope =
-        provscope::Scope::enabled(move || tick.fetch_add(1, std::sync::atomic::Ordering::Relaxed));
+    let scope = provscope::Scope::recording(
+        move || tick.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+        provscope::RecorderConfig::default(),
+    );
     let query = "select A from Provenance.file as F F.input* as A \
                  where F.name = '/obj/f17.o'";
     let out = pql::query_traced(query, &db, &scope).expect("traced query");

@@ -22,7 +22,7 @@
 //! ```
 
 use bench::{traced_postmark, TracedRun, TRACED_DISCLOSURES};
-use provscope::{chrome_trace_json, parse_chrome_trace};
+use provscope::{chrome_trace_json, parse_chrome_trace, RecorderConfig};
 
 /// The layers a batched disclosure must cross on the PA-NFS machine.
 const REQUIRED_LAYERS: [&str; 5] = ["dpapi", "kernel", "lasagna", "pa-nfs", "waldo"];
@@ -52,7 +52,7 @@ fn check_batch_trees(run: &TracedRun, batch_ops: usize) {
 fn main() {
     // Traced, batched: the span-tree contract and run-to-run
     // determinism.
-    let run_a = traced_postmark(8, true);
+    let run_a = traced_postmark(8, Some(RecorderConfig::default()));
     run_a.trace.validate().expect("well-formed span forest");
     let json_a = chrome_trace_json(&run_a.trace);
     let events = parse_chrome_trace(&json_a).expect("chrome trace parses");
@@ -63,7 +63,7 @@ fn main() {
     );
     check_batch_trees(&run_a, 8);
 
-    let run_b = traced_postmark(8, true);
+    let run_b = traced_postmark(8, Some(RecorderConfig::default()));
     let json_b = chrome_trace_json(&run_b.trace);
     assert_eq!(
         json_a, json_b,
@@ -71,7 +71,7 @@ fn main() {
     );
 
     // Tracing disabled: byte-equality of the resulting store.
-    let run_off = traced_postmark(8, false);
+    let run_off = traced_postmark(8, None);
     assert!(
         run_off.trace.spans.is_empty() && run_off.batch_traces.is_empty(),
         "a disabled scope records nothing"
@@ -92,7 +92,7 @@ fn main() {
         let run = if batch_ops == 8 {
             run_a.trace.clone()
         } else {
-            let r = traced_postmark(batch_ops, true);
+            let r = traced_postmark(batch_ops, Some(RecorderConfig::default()));
             r.trace.validate().expect("well-formed span forest");
             if batch_ops > 1 {
                 check_batch_trees(&r, batch_ops);

@@ -25,20 +25,20 @@
 
 use std::collections::BTreeSet;
 
-use bench::{traced_postmark_with, TraceMode, TracedRun};
+use bench::{traced_postmark, TracedRun};
 use provscope::{chrome_trace_json, RecorderConfig};
 
 /// Ring capacity for the bounded runs — ample for this pipeline, so
 /// the memory gate (`high_water <= capacity`, zero shed) is strict.
 const CAPACITY: usize = 4096;
 
-fn keep_all_config() -> RecorderConfig {
+/// A ring bounded at [`CAPACITY`] that samples every tree and pins
+/// no slow ones.
+fn ring_config() -> RecorderConfig {
     RecorderConfig {
         capacity: CAPACITY,
-        sample_per_million: 1_000_000,
-        seed: 0,
-        slow_threshold_ns: u64::MAX,
         slow_capacity: CAPACITY,
+        ..RecorderConfig::default()
     }
 }
 
@@ -59,8 +59,8 @@ fn main() {
         "batch_ops", "untraced_ns", "recorder_ns", "overhead%", "high_water"
     );
     for batch_ops in [1usize, 8, 32] {
-        let base = traced_postmark_with(batch_ops, TraceMode::Off);
-        let rec = traced_postmark_with(batch_ops, TraceMode::Recorder(keep_all_config()));
+        let base = traced_postmark(batch_ops, None);
+        let rec = traced_postmark(batch_ops, Some(ring_config()));
 
         // Gate 1: the recorder is free on the virtual clock (<= 5%).
         let overhead = bench::overhead_pct(base.elapsed_ns as f64, rec.elapsed_ns as f64);
@@ -91,7 +91,7 @@ fn main() {
     // Deterministic sampling + tail pinning: pick a slow threshold at
     // a real root duration (so the slow ring is non-trivially
     // populated), then run the same sampled config twice.
-    let full = traced_postmark_with(8, TraceMode::Recorder(keep_all_config()));
+    let full = traced_postmark(8, Some(ring_config()));
     let mut root_durations: Vec<u64> = full
         .batch_traces
         .iter()
@@ -114,8 +114,8 @@ fn main() {
         slow_capacity: CAPACITY,
     };
 
-    let twin_a = traced_postmark_with(8, TraceMode::Recorder(sampled_cfg));
-    let twin_b = traced_postmark_with(8, TraceMode::Recorder(sampled_cfg));
+    let twin_a = traced_postmark(8, Some(sampled_cfg));
+    let twin_b = traced_postmark(8, Some(sampled_cfg));
     assert_eq!(
         trace_ids(&twin_a),
         trace_ids(&twin_b),

@@ -57,7 +57,7 @@ fn main() {
     println!("  PA-Kepler             3.5    0.2 (4.7%)     0.5 (14.2%)");
 
     if std::env::args().any(|a| a == "--trace") {
-        let run = traced_postmark(8, true);
+        let run = traced_postmark(8, Some(provscope::RecorderConfig::default()));
         println!();
         println!("Traced PA-NFS Postmark (8-op disclosure batches):");
         println!("{}", run.trace.render_latency_table());

@@ -304,36 +304,17 @@ pub fn standard_workloads() -> Vec<Box<dyn Workload>> {
 /// mounted DPAPI volumes — for PA-NFS that chain reaches the client,
 /// the server and the server's Lasagna export) and the PASS module.
 /// Waldo daemons are spawned later by the caller and get the
-/// returned scope via [`waldo::Waldo::set_scope`].
-pub fn enable_tracing(m: &mut Machine) -> provscope::Scope {
-    enable_tracing_mode(m, TraceMode::Unbounded)
-}
-
-/// [`enable_tracing`] with an explicit retention mode; `TraceMode::Off`
-/// wires a disabled scope (every span operation a no-op).
-pub fn enable_tracing_mode(m: &mut Machine, mode: TraceMode) -> provscope::Scope {
+/// returned scope via [`waldo::Waldo::set_scope`]. The scope retains
+/// spans under `cfg` ([`provscope::RecorderConfig::default`] keeps
+/// every span).
+pub fn enable_tracing(m: &mut Machine, cfg: provscope::RecorderConfig) -> provscope::Scope {
     let clock = m.kernel.clock();
-    let scope = match mode {
-        TraceMode::Off => provscope::Scope::disabled(),
-        TraceMode::Unbounded => provscope::Scope::enabled(move || clock.now()),
-        TraceMode::Recorder(cfg) => provscope::Scope::recording(move || clock.now(), cfg),
-    };
+    let scope = provscope::Scope::recording(move || clock.now(), cfg);
     m.kernel.set_scope(scope.clone());
     if let Some(p) = &m.pass {
         p.set_scope(scope.clone());
     }
     scope
-}
-
-/// How a traced bench run retains spans.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceMode {
-    /// No tracing at all — the byte-equality baseline.
-    Off,
-    /// [`provscope::Scope::enabled`]: every span kept forever.
-    Unbounded,
-    /// [`provscope::Scope::recording`]: the bounded flight recorder.
-    Recorder(provscope::RecorderConfig),
 }
 
 /// One traced PA-NFS Postmark round: the span forest, the unified
@@ -355,7 +336,7 @@ pub struct TracedRun {
     /// the recorder-overhead gate compares this across trace modes
     /// (tracing must not advance the clock).
     pub elapsed_ns: u64,
-    /// Flight-recorder counters (all zero for `Off`/`Unbounded`).
+    /// Flight-recorder counters (all zero for an untraced run).
     pub recorder: provscope::RecorderStats,
     /// The slow-trace ring, oldest first (empty unless a recorder
     /// with a finite `slow_threshold_ns` ran).
@@ -377,29 +358,18 @@ pub const TRACED_DISCLOSURES: usize = 4;
 /// resulting span tree crosses kernel → dpapi → pa-nfs → lasagna on
 /// the synchronous commit path and gains the waldo ingest span
 /// asynchronously when the daemon drains that batch's group frame.
-/// With `traced = false` the run is identical except that every span
-/// operation is a no-op — [`TracedRun::segment_images`] must not
-/// notice the difference.
-pub fn traced_postmark(batch_ops: usize, traced: bool) -> TracedRun {
-    traced_postmark_with(
-        batch_ops,
-        if traced {
-            TraceMode::Unbounded
-        } else {
-            TraceMode::Off
-        },
-    )
-}
-
-/// [`traced_postmark`] with an explicit [`TraceMode`] — the rig the
-/// recorder-overhead smoke drives at each retention policy.
-pub fn traced_postmark_with(batch_ops: usize, mode: TraceMode) -> TracedRun {
+/// `recorder` is the scope's retention policy; with `None` the run
+/// is identical except that every span operation is a no-op —
+/// [`TracedRun::segment_images`] must not notice the difference.
+pub fn traced_postmark(batch_ops: usize, recorder: Option<provscope::RecorderConfig>) -> TracedRun {
     assert!(
         batch_ops >= 1,
         "a disclosure transaction has at least one op"
     );
     let mut m = build(Config::PaNfs);
-    let scope = enable_tracing_mode(&mut m, mode);
+    let scope = recorder.map_or_else(provscope::Scope::disabled, |cfg| {
+        enable_tracing(&mut m, cfg)
+    });
 
     let wl = workloads::Postmark {
         files: 12,

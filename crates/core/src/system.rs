@@ -61,9 +61,8 @@ pub struct System {
     pub volumes: Vec<(String, MountId, VolumeId)>,
     /// Storage-engine tuning for Waldo daemons this system spawns.
     pub waldo_cfg: WaldoConfig,
-    /// Flight-recorder retention for [`System::enable_tracing`];
-    /// `None` keeps every span (the unbounded debug mode).
-    recorder: Option<provscope::RecorderConfig>,
+    /// Flight-recorder retention for [`System::enable_tracing`].
+    recorder: provscope::RecorderConfig,
 }
 
 /// Builder for [`System`].
@@ -75,7 +74,7 @@ pub struct SystemBuilder {
     provenance_enabled: bool,
     waldo_cfg: WaldoConfig,
     observer_batch: Option<ObserverBatchConfig>,
-    recorder: Option<provscope::RecorderConfig>,
+    recorder: provscope::RecorderConfig,
 }
 
 impl SystemBuilder {
@@ -89,7 +88,7 @@ impl SystemBuilder {
             provenance_enabled: true,
             waldo_cfg: WaldoConfig::default(),
             observer_batch: None,
-            recorder: None,
+            recorder: provscope::RecorderConfig::default(),
         }
     }
 
@@ -97,10 +96,11 @@ impl SystemBuilder {
     /// with a flight recorder: ring retention of completed trace
     /// trees, deterministic head sampling on the volume-salted trace
     /// id, and tail-based slow-trace pinning (see
-    /// [`provscope::RecorderConfig`]). Without this, tracing keeps
-    /// every span for the life of the scope.
+    /// [`provscope::RecorderConfig`]). Without this, the recorder
+    /// keeps every span for the life of the scope
+    /// ([`provscope::RecorderConfig::default`]).
     pub fn flight_recorder(mut self, cfg: provscope::RecorderConfig) -> Self {
-        self.recorder = Some(cfg);
+        self.recorder = cfg;
         self
     }
 
@@ -217,16 +217,12 @@ impl System {
     ///
     /// Tracing only *reads* the clock — it never advances it, and it
     /// never perturbs batch-id allocation or log bytes, so a traced
-    /// run is byte-identical to an untraced one. With
-    /// [`SystemBuilder::flight_recorder`] set, the scope retains
-    /// spans under that bounded, deterministically-sampled policy
-    /// instead of keeping everything.
+    /// run is byte-identical to an untraced one. The scope retains
+    /// spans under [`SystemBuilder::flight_recorder`]'s policy, which
+    /// keeps everything unless bounded.
     pub fn enable_tracing(&mut self) -> provscope::Scope {
         let clock = self.kernel.clock();
-        let scope = match self.recorder {
-            Some(cfg) => provscope::Scope::recording(move || clock.now(), cfg),
-            None => provscope::Scope::enabled(move || clock.now()),
-        };
+        let scope = provscope::Scope::recording(move || clock.now(), self.recorder);
         self.kernel.set_scope(scope.clone());
         self.pass.set_scope(scope.clone());
         scope

@@ -118,7 +118,7 @@ fn cluster_trace(
     rounds: usize,
     batch_ops: usize,
     threaded: bool,
-) -> (provscope::Trace, Vec<Vec<u8>>) {
+) -> (provscope::Scope, Vec<Vec<u8>>) {
     let mut sys = SystemBuilder::new(CostModel::default())
         .pass_volume("/v1", VolumeId(1))
         .pass_volume("/v2", VolumeId(2))
@@ -141,7 +141,7 @@ fn cluster_trace(
         .try_merged_store()
         .expect("disjoint members merge")
         .segment_images();
-    (scope.snapshot(), images)
+    (scope, images)
 }
 
 /// Interleaving-independent census of a span forest: how many spans
@@ -181,8 +181,8 @@ proptest! {
     /// fan-in cannot collide or split them.
     #[test]
     fn cluster_span_trees(rounds in 1usize..4, batch_ops in 2usize..6) {
-        let (trace, _) = cluster_trace(rounds, batch_ops, false);
-        check_contract(&trace, 2 * rounds)?;
+        let (scope, _) = cluster_trace(rounds, batch_ops, false);
+        check_contract(&scope.snapshot(), 2 * rounds)?;
     }
 
     /// Threaded 2-member cluster: members ingest on worker OS threads,
@@ -194,8 +194,9 @@ proptest! {
     /// Only span *ids* (allocation order) may differ across runtimes.
     #[test]
     fn threaded_cluster_span_trees(rounds in 1usize..4, batch_ops in 2usize..6) {
-        let (seq_trace, seq_images) = cluster_trace(rounds, batch_ops, false);
-        let (thr_trace, thr_images) = cluster_trace(rounds, batch_ops, true);
+        let (seq_scope, seq_images) = cluster_trace(rounds, batch_ops, false);
+        let (thr_scope, thr_images) = cluster_trace(rounds, batch_ops, true);
+        let (seq_trace, thr_trace) = (seq_scope.snapshot(), thr_scope.snapshot());
         check_contract(&thr_trace, 2 * rounds)?;
         prop_assert!(
             span_census(&thr_trace) == span_census(&seq_trace),
@@ -208,4 +209,23 @@ proptest! {
             "threaded merged store diverged from sequential"
         );
     }
+}
+
+/// `System::enable_tracing` without a flight-recorder bound keeps
+/// every span a multi-batch cluster run opens. Span ids are allocated
+/// 1, 2, … per open and a shed open allocates none, so with nothing
+/// evicted, sampled out or shed the held ids are exactly 1..=opens.
+#[test]
+fn default_recorder_keeps_every_span() {
+    let (scope, _) = cluster_trace(3, 4, false);
+    let st = scope.recorder_stats();
+    assert_eq!(
+        (st.trees_evicted, st.trees_sampled_out, st.spans_shed),
+        (0, 0, 0)
+    );
+    let trace = scope.snapshot();
+    let ids: Vec<u64> = trace.spans.iter().map(|s| s.id.0).collect();
+    assert_eq!(ids, (1..=st.spans_live).collect::<Vec<u64>>());
+    assert_eq!(st.spans_high_water, st.spans_live);
+    check_contract(&trace, 2 * 3).unwrap();
 }

@@ -179,14 +179,17 @@ pub fn parse_chrome_trace(text: &str) -> Result<Vec<ChromeEvent>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{Scope, TraceId};
+    use crate::span::{RecorderConfig, Scope, TraceId};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     fn sample() -> Trace {
         let t = Arc::new(AtomicU64::new(0));
         let t2 = t.clone();
-        let s = Scope::enabled(move || t2.load(Ordering::Relaxed));
+        let s = Scope::recording(
+            move || t2.load(Ordering::Relaxed),
+            RecorderConfig::default(),
+        );
         let a = s.open("kernel", "pass_commit");
         t.store(1_500, Ordering::Relaxed);
         let b = s.open("dpapi", "dp_commit");

@@ -18,11 +18,13 @@
 //!   asynchronous Waldo ingest of a group frame re-join the tree of
 //!   the synchronous commit that produced it — no side channel, no
 //!   extra log bytes.
-//! * **Metrics** ([`Registry`], [`MetricSource`], [`Histogram`]) —
-//!   named counters and log-bucketed latency histograms that absorb
-//!   the per-layer stats structs (`KernelStats`, `PassStats`,
-//!   `LasagnaStats`, `IngestStats`, `QueryOps`, `PlanStats`, …)
-//!   behind one trait, with prefix labels for cluster members.
+//! * **Metrics** ([`Registry`], [`MetricSource`], [`Histogram`],
+//!   [`AtomicHistogram`]) — named counters and log₂-bucketed latency
+//!   histograms that absorb the per-layer stats structs
+//!   (`KernelStats`, `PassStats`, `LasagnaStats`, `IngestStats`,
+//!   `QueryOps`, `PlanStats`, …) behind one trait, with prefix labels
+//!   for cluster members. The lock-free histogram shares the plain
+//!   one's buckets and reads out as a plain [`Histogram`] snapshot.
 //! * **Exports** ([`chrome_trace_json`], [`Trace::layer_latency`],
 //!   [`Registry::render_table`]) — a Chrome `trace_event` JSON
 //!   exporter (loadable in `chrome://tracing` / Perfetto), a plain
@@ -31,10 +33,11 @@
 //!   trace without external dependencies.
 //!
 //! A fourth piece makes the plane production-grade: the **flight
-//! recorder** ([`Scope::recording`], [`RecorderConfig`]) bounds span
+//! recorder**. Every enabled scope is one ([`Scope::recording`]); its
+//! [`RecorderConfig`] keeps every span by default, or bounds span
 //! memory with whole-tree ring retention, deterministic head
 //! sampling keyed on the volume-salted trace id, and tail-based
-//! slow-trace pinning; the [`health`] module evaluates typed rules
+//! slow-trace pinning. The [`health`] module evaluates typed rules
 //! over a [`Registry`] snapshot into a [`HealthReport`]; and
 //! [`Registry::render_prometheus`] exports everything in the
 //! Prometheus text format.
@@ -68,7 +71,7 @@ mod span;
 pub use export::{chrome_trace_json, parse_chrome_trace, ChromeEvent};
 pub use health::{HealthReport, HealthRule, HealthViolation};
 pub use json::{parse_json, JsonValue};
-pub use metrics::{Histogram, MetricSource, Registry};
+pub use metrics::{AtomicHistogram, Histogram, MetricSource, Registry};
 pub use span::{
     LayerLatency, Nanos, RecorderConfig, RecorderStats, Scope, SlowTraceInfo, Span, SpanHandle,
     SpanId, Trace, TraceCtx, TraceId,

@@ -1,6 +1,7 @@
 //! The unified metrics registry: named counters, log-bucketed latency
-//! histograms, and the [`MetricSource`] trait that absorbs the
-//! per-layer stats structs.
+//! histograms (plain, and a lock-free [`AtomicHistogram`] for hot
+//! paths shared across threads), and the [`MetricSource`] trait that
+//! absorbs the per-layer stats structs.
 //!
 //! Every layer already keeps a typed stats struct (`KernelStats`,
 //! `PassStats`, `LasagnaStats`, `IngestStats`, `QueryOps`,
@@ -13,6 +14,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Anything that can pour its metrics into a registry as named
 /// `(key, value)` pairs. Implemented by the per-layer stats structs;
@@ -47,39 +49,17 @@ impl Default for Histogram {
 }
 
 impl Histogram {
+    #[inline]
     fn bucket_of(v: u64) -> usize {
         (64 - v.leading_zeros()) as usize
     }
 
     /// Records one observation.
+    #[inline]
     pub fn observe(&mut self, v: u64) {
-        self.observe_n(v, 1);
-    }
-
-    /// Records `n` identical observations of `v` — the bulk path for
-    /// mirroring pre-aggregated data (e.g. an atomic histogram
-    /// snapshot) without `n` separate calls.
-    pub fn observe_n(&mut self, v: u64, n: u64) {
-        self.buckets[Self::bucket_of(v)] += n;
-        self.count += n;
-        self.sum += v.wrapping_mul(n);
-    }
-
-    /// Reconstructs a histogram from raw parts — the import path for
-    /// snapshots of externally-maintained bucket arrays (atomic
-    /// mirrors, parsed exports). `count`/`sum` are trusted as given.
-    pub fn from_parts(buckets: [u64; 65], count: u64, sum: u64) -> Histogram {
-        Histogram {
-            buckets,
-            count,
-            sum,
-        }
-    }
-
-    /// The raw log₂ bucket counts (bucket `i` as documented on the
-    /// type).
-    pub fn bucket_counts(&self) -> &[u64; 65] {
-        &self.buckets
+        self.buckets[Self::bucket_of(v)] += 1;
+        self.count += 1;
+        self.sum += v;
     }
 
     /// Number of observations.
@@ -143,6 +123,46 @@ impl Histogram {
         }
         self.count += other.count;
         self.sum += other.sum;
+    }
+}
+
+/// A lock-free [`Histogram`]: the same 65 log₂ buckets, kept in
+/// relaxed atomics so threads on a hot path can observe (say, how
+/// long they waited for a lock) through `&self` without taking yet
+/// another lock. [`AtomicHistogram::snapshot`] is its read view.
+pub struct AtomicHistogram {
+    buckets: [AtomicU64; 65],
+    count: AtomicU64,
+    sum: AtomicU64,
+}
+
+impl Default for AtomicHistogram {
+    fn default() -> AtomicHistogram {
+        AtomicHistogram {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+        }
+    }
+}
+
+impl AtomicHistogram {
+    /// Records one observation (relaxed; tearing across fields only
+    /// skews a concurrent snapshot by in-flight observations).
+    #[inline]
+    pub fn observe(&self, v: u64) {
+        self.buckets[Histogram::bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
+    }
+
+    /// The current contents as a plain histogram.
+    pub fn snapshot(&self) -> Histogram {
+        Histogram {
+            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
+            count: self.count.load(Ordering::Relaxed),
+            sum: self.sum.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -418,16 +438,15 @@ mod tests {
     }
 
     #[test]
-    fn observe_n_and_from_parts_round_trip() {
-        let mut a = Histogram::default();
-        for _ in 0..4 {
-            a.observe(100);
+    fn atomic_hist_mirrors_the_plain_histogram() {
+        let a = AtomicHistogram::default();
+        let mut h = Histogram::default();
+        for v in [0u64, 1, 7, 1024, 1 << 40] {
+            a.observe(v);
+            h.observe(v);
         }
-        let mut b = Histogram::default();
-        b.observe_n(100, 4);
-        assert_eq!(a, b);
-        let c = Histogram::from_parts(*a.bucket_counts(), a.count(), a.sum());
-        assert_eq!(a, c);
+        assert_eq!(a.snapshot(), h);
+        assert_eq!(a.snapshot().quantile(0.5), h.quantile(0.5));
     }
 
     #[test]
@@ -551,7 +570,11 @@ mod tests {
         }
         for (base, count) in hcount {
             let buckets = hbuckets.remove(&base).unwrap_or([0; 65]);
-            let h = Histogram::from_parts(buckets, count, hsum[&base]);
+            let h = Histogram {
+                buckets,
+                count,
+                sum: hsum[&base],
+            };
             out.absorb_histogram(&base, &h);
         }
         out

@@ -29,9 +29,11 @@
 //!
 //! # Flight recorder
 //!
-//! [`Scope::enabled`] retains every span forever — right for tests,
-//! wrong for an always-on service. [`Scope::recording`] bounds span
-//! memory with a [`RecorderConfig`]:
+//! Every enabled scope is a flight recorder: [`Scope::recording`]
+//! retains spans under a [`RecorderConfig`]. The default config keeps
+//! everything (no capacity bound, every tree sampled, no slow
+//! pinning) — right for tests and one-shot runs; an always-on service
+//! bounds span memory with a finite config:
 //!
 //! * **Ring retention.** Completed trace trees (no open spans, no
 //!   live window still bound to the trace) move into a ring. When a
@@ -59,9 +61,10 @@
 //! ingesting a group frame long after the commit window closed) is
 //! *revived* out of its ring back into the live set, extended, and
 //! re-completed — the sampling verdict is recomputed from the same
-//! key, so determinism is unaffected. Eviction drops the trace's root
-//! registration too: late joiners of a dropped trace start a fresh
-//! (deterministically re-sampled) fragment tree.
+//! key, so determinism is unaffected. A late joiner shed at capacity
+//! re-completes the revived tree at once. Eviction drops the trace's
+//! root registration too: late joiners of a dropped trace start a
+//! fresh (deterministically re-sampled) fragment tree.
 //!
 //! The recorder never advances the clock, never allocates ids in the
 //! observed system, and never writes to any store — the provtorture
@@ -84,7 +87,7 @@
 //! deterministic even under threading (the verdict is a pure function
 //! of the trace id), though ring ordering may interleave.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 
@@ -194,14 +197,15 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Configuration of the bounded flight recorder
-/// ([`Scope::recording`]).
+/// Retention policy of the flight recorder every enabled scope runs
+/// ([`Scope::recording`]). The default keeps everything; finite
+/// values bound it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RecorderConfig {
     /// Hard bound on live spans. Whole completed trees are evicted
     /// oldest-first to stay under it; incoming spans are shed when
     /// nothing is evictable. `provscope.spans_high_water ≤ capacity`
-    /// always holds.
+    /// always holds. `usize::MAX` (the default) never evicts.
     pub capacity: usize,
     /// Head-sampling rate in parts per million: a completed tree is
     /// retained iff `splitmix64(seed ^ trace_id) % 1_000_000 <
@@ -217,17 +221,20 @@ pub struct RecorderConfig {
     pub slow_threshold_ns: Nanos,
     /// Bound on total spans held by the slow ring; oldest slow trees
     /// are evicted first (the newest slow tree is always kept).
+    /// `usize::MAX` by default.
     pub slow_capacity: usize,
 }
 
+/// Keep everything: no capacity bound, every tree sampled, no slow
+/// pinning — a recorder that never evicts, samples out or sheds.
 impl Default for RecorderConfig {
     fn default() -> Self {
         RecorderConfig {
-            capacity: 65_536,
+            capacity: usize::MAX,
             sample_per_million: 1_000_000,
             seed: 0,
             slow_threshold_ns: u64::MAX,
-            slow_capacity: 16_384,
+            slow_capacity: usize::MAX,
         }
     }
 }
@@ -245,8 +252,7 @@ impl RecorderConfig {
 }
 
 /// Counters exposing the flight recorder's behavior (all zero on a
-/// disabled scope; only the span-memory fields are live on an
-/// unbounded [`Scope::enabled`] scope).
+/// disabled scope).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecorderStats {
     /// Spans currently held (live + retained rings).
@@ -313,15 +319,23 @@ struct SlowTree {
     span_ids: Vec<u64>,
 }
 
-/// The bounded-retention state of a recording scope.
+/// The retention state of a recording scope.
 struct Recorder {
     cfg: RecorderConfig,
     /// Live (incomplete) trees, keyed by canonical trace id.
     trees: BTreeMap<u64, TreeState>,
-    /// Completed sampled trees, oldest first.
-    ring: VecDeque<(u64, Vec<u64>)>,
-    /// Completed slow trees, oldest first.
-    slow: VecDeque<SlowTree>,
+    /// Completed sampled trees (trace id, span ids), keyed by
+    /// completion number: oldest first.
+    ring: BTreeMap<u64, (u64, Vec<u64>)>,
+    /// Completed slow trees, keyed by completion number.
+    slow: BTreeMap<u64, SlowTree>,
+    /// Trace id → completion number of its tree in `ring` or `slow`.
+    /// Every new trace asks whether it has a retained tree to revive,
+    /// and a keep-everything ring holds every completed tree, so the
+    /// answer must not cost a scan.
+    retained: BTreeMap<u64, u64>,
+    /// Trees completed so far (the next completion number).
+    completed: u64,
     /// Total spans held by `slow`.
     slow_spans: usize,
     trees_evicted: u64,
@@ -334,8 +348,10 @@ impl Recorder {
         Recorder {
             cfg,
             trees: BTreeMap::new(),
-            ring: VecDeque::new(),
-            slow: VecDeque::new(),
+            ring: BTreeMap::new(),
+            slow: BTreeMap::new(),
+            retained: BTreeMap::new(),
+            completed: 0,
             slow_spans: 0,
             trees_evicted: 0,
             trees_sampled_out: 0,
@@ -349,74 +365,75 @@ impl Recorder {
         if self.trees.contains_key(&t) {
             return;
         }
-        if let Some(pos) = self.ring.iter().position(|e| e.0 == t) {
-            let (_, ids) = self.ring.remove(pos).unwrap();
-            self.trees.insert(
-                t,
-                TreeState {
-                    spans: ids,
-                    open: 0,
-                    windows: 0,
-                },
-            );
-        } else if let Some(pos) = self.slow.iter().position(|e| e.trace == t) {
-            let st = self.slow.remove(pos).unwrap();
-            self.slow_spans -= st.span_ids.len();
-            self.trees.insert(
-                t,
-                TreeState {
-                    spans: st.span_ids,
-                    open: 0,
-                    windows: 0,
-                },
-            );
-        }
+        let Some(n) = self.retained.remove(&t) else {
+            return;
+        };
+        let spans = match self.ring.remove(&n) {
+            Some((_, ids)) => ids,
+            None => {
+                let st = self.slow.remove(&n).expect("a retained tree is in a ring");
+                self.slow_spans -= st.span_ids.len();
+                st.span_ids
+            }
+        };
+        self.trees.insert(
+            t,
+            TreeState {
+                spans,
+                open: 0,
+                windows: 0,
+            },
+        );
+    }
+
+    /// Drops the oldest slow tree, returning its span ids.
+    fn pop_slow(&mut self) -> Option<Vec<u64>> {
+        let (_, st) = self.slow.pop_first()?;
+        self.retained.remove(&st.trace);
+        self.slow_spans -= st.span_ids.len();
+        self.trees_evicted += 1;
+        Some(st.span_ids)
     }
 
     /// Evicts the oldest retained tree (main ring first, then the
     /// slow ring), returning its span ids, or `None` if nothing is
     /// evictable.
     fn evict_oldest_retained(&mut self) -> Option<Vec<u64>> {
-        if let Some((_, ids)) = self.ring.pop_front() {
-            self.trees_evicted += 1;
-            return Some(ids);
-        }
-        if let Some(st) = self.slow.pop_front() {
-            self.slow_spans -= st.span_ids.len();
-            self.trees_evicted += 1;
-            return Some(st.span_ids);
-        }
-        None
+        let Some((_, (t, ids))) = self.ring.pop_first() else {
+            return self.pop_slow();
+        };
+        self.retained.remove(&t);
+        self.trees_evicted += 1;
+        Some(ids)
     }
 
     /// Places a completed tree (slow ring, sampled ring, or dropped)
     /// and returns the span ids the caller must drop from storage.
-    fn complete(
-        &mut self,
-        t: u64,
-        dur: Nanos,
-        span_ids: Vec<u64>,
-        root_layer: &'static str,
-        root_name: String,
-    ) -> Vec<u64> {
+    /// `root` is the tree's root span, if still held.
+    fn complete(&mut self, t: u64, span_ids: Vec<u64>, root: Option<&Span>) -> Vec<u64> {
         let mut drops = Vec::new();
+        let dur = root.map_or(0, Span::duration_ns);
+        let n = self.completed;
+        self.completed += 1;
         if dur >= self.cfg.slow_threshold_ns {
             self.slow_spans += span_ids.len();
-            self.slow.push_back(SlowTree {
-                trace: t,
-                root_layer,
-                root_name,
-                duration_ns: dur,
-                span_ids,
-            });
+            self.slow.insert(
+                n,
+                SlowTree {
+                    trace: t,
+                    root_layer: root.map_or("?", |s| s.layer),
+                    root_name: root.map_or_else(String::new, |s| s.name.clone()),
+                    duration_ns: dur,
+                    span_ids,
+                },
+            );
+            self.retained.insert(t, n);
             while self.slow_spans > self.cfg.slow_capacity.max(1) && self.slow.len() > 1 {
-                let old = self.slow.pop_front().unwrap();
-                self.slow_spans -= old.span_ids.len();
-                self.trees_evicted += 1;
-                drops.extend(old.span_ids);
+                drops.extend(self.pop_slow().unwrap());
             }
         } else if self.cfg.samples(TraceId(t)) {
-            self.ring.push_back((t, span_ids));
+            self.ring.insert(n, (t, span_ids));
+            self.retained.insert(t, n);
         } else {
             self.trees_sampled_out += 1;
             drops = span_ids;
@@ -439,8 +456,8 @@ struct Inner {
     /// Trace id → the root span detached work should link under.
     roots: BTreeMap<u64, SpanId>,
     next_synthetic: u64,
-    /// Bounded-retention state; `None` on unbounded scopes.
-    recorder: Option<Recorder>,
+    /// Retention state: live trees and the completed-tree rings.
+    recorder: Recorder,
 }
 
 impl Inner {
@@ -478,32 +495,23 @@ impl Inner {
     /// Makes room for one new span. Returns `false` (shed) when the
     /// recorder is at capacity with nothing evictable.
     fn reserve_slot(&mut self) -> bool {
-        loop {
-            let cap = match &self.recorder {
-                Some(r) => r.cfg.capacity.max(1),
-                None => return true,
-            };
-            if self.spans.len() < cap {
-                return true;
-            }
-            match self.recorder.as_mut().unwrap().evict_oldest_retained() {
+        while self.spans.len() >= self.recorder.cfg.capacity.max(1) {
+            match self.recorder.evict_oldest_retained() {
                 Some(ids) => self.drop_spans(&ids),
                 None => {
-                    self.recorder.as_mut().unwrap().spans_shed += 1;
+                    self.recorder.spans_shed += 1;
                     return false;
                 }
             }
         }
+        true
     }
 
     /// Registers `id` with trace `t`'s live tree (reviving a retained
     /// tree if a late joiner arrives).
     fn tree_add(&mut self, t: u64, id: u64, open: bool) {
-        let Some(rec) = self.recorder.as_mut() else {
-            return;
-        };
-        rec.revive(t);
-        let ts = rec.trees.entry(t).or_default();
+        self.recorder.revive(t);
+        let ts = self.recorder.trees.entry(t).or_default();
         ts.spans.push(id);
         if open {
             ts.open += 1;
@@ -511,26 +519,20 @@ impl Inner {
     }
 
     fn tree_close(&mut self, t: u64) {
-        if let Some(rec) = self.recorder.as_mut() {
-            if let Some(ts) = rec.trees.get_mut(&t) {
-                ts.open = ts.open.saturating_sub(1);
-            }
+        if let Some(ts) = self.recorder.trees.get_mut(&t) {
+            ts.open = ts.open.saturating_sub(1);
         }
         self.maybe_complete(t);
     }
 
     fn tree_bind_window(&mut self, t: u64) {
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.revive(t);
-            rec.trees.entry(t).or_default().windows += 1;
-        }
+        self.recorder.revive(t);
+        self.recorder.trees.entry(t).or_default().windows += 1;
     }
 
     fn tree_unbind_window(&mut self, t: u64) {
-        if let Some(rec) = self.recorder.as_mut() {
-            if let Some(ts) = rec.trees.get_mut(&t) {
-                ts.windows = ts.windows.saturating_sub(1);
-            }
+        if let Some(ts) = self.recorder.trees.get_mut(&t) {
+            ts.windows = ts.windows.saturating_sub(1);
         }
         self.maybe_complete(t);
     }
@@ -539,20 +541,15 @@ impl Inner {
     /// once no span of it is open and no window is bound to it.
     fn maybe_complete(&mut self, t: u64) {
         let done = matches!(
-            self.recorder.as_ref().and_then(|r| r.trees.get(&t)),
+            self.recorder.trees.get(&t),
             Some(ts) if ts.open == 0 && ts.windows == 0
         );
         if !done {
             return;
         }
-        let root = self.roots.get(&t).copied();
-        let (dur, layer, name) = match root.and_then(|sid| self.spans.get(&sid.0)) {
-            Some(s) => (s.duration_ns(), s.layer, s.name.clone()),
-            None => (0, "?", String::new()),
-        };
-        let rec = self.recorder.as_mut().unwrap();
-        let tree = rec.trees.remove(&t).unwrap();
-        let drops = rec.complete(t, dur, tree.spans, layer, name);
+        let root = self.roots.get(&t).and_then(|sid| self.spans.get(&sid.0));
+        let tree = self.recorder.trees.remove(&t).unwrap();
+        let drops = self.recorder.complete(t, tree.spans, root);
         self.drop_spans(&drops);
     }
 
@@ -598,24 +595,15 @@ impl Scope {
 
     /// An enabled scope reading time from `now` — inject the virtual
     /// clock (`move || clock.now()`), never a wall clock, or traces
-    /// stop being deterministic. Retention is unbounded; production
-    /// paths should prefer [`Scope::recording`].
-    pub fn enabled(now: impl Fn() -> Nanos + Send + Sync + 'static) -> Scope {
-        Scope::build(now, None)
-    }
-
-    /// An enabled scope with the bounded flight recorder: whole-tree
-    /// ring retention under `cfg.capacity`, deterministic head
-    /// sampling, and tail-based slow-trace pinning. See the module
+    /// stop being deterministic. Spans are retained under `cfg`:
+    /// [`RecorderConfig::default`] keeps every span; a finite config
+    /// bounds memory with whole-tree ring retention, deterministic
+    /// head sampling and tail-based slow-trace pinning. See the module
     /// docs for semantics.
     pub fn recording(
         now: impl Fn() -> Nanos + Send + Sync + 'static,
         cfg: RecorderConfig,
     ) -> Scope {
-        Scope::build(now, Some(Recorder::new(cfg)))
-    }
-
-    fn build(now: impl Fn() -> Nanos + Send + Sync + 'static, recorder: Option<Recorder>) -> Scope {
         Scope(Some(Arc::new(Mutex::new(Inner {
             now: Box::new(now),
             spans: BTreeMap::new(),
@@ -624,7 +612,7 @@ impl Scope {
             windows: HashMap::new(),
             roots: BTreeMap::new(),
             next_synthetic: 0,
-            recorder,
+            recorder: Recorder::new(cfg),
         }))))
     }
 
@@ -633,34 +621,28 @@ impl Scope {
         self.0.is_some()
     }
 
-    /// The flight-recorder configuration, when this scope was built
-    /// with [`Scope::recording`].
+    /// The flight-recorder configuration (`None` when the scope is
+    /// disabled).
     pub fn recorder_config(&self) -> Option<RecorderConfig> {
-        let inner = self.0.as_ref()?;
-        let g = inner.lock().unwrap();
-        g.recorder.as_ref().map(|r| r.cfg)
+        Some(self.0.as_ref()?.lock().unwrap().recorder.cfg)
     }
 
-    /// Flight-recorder counters (all zero when the scope is disabled;
-    /// span-memory fields are live even without a recorder).
+    /// Flight-recorder counters (all zero when the scope is disabled).
     pub fn recorder_stats(&self) -> RecorderStats {
         let Some(inner) = &self.0 else {
             return RecorderStats::default();
         };
         let g = inner.lock().unwrap();
-        let mut st = RecorderStats {
+        let r = &g.recorder;
+        RecorderStats {
             spans_live: g.spans.len() as u64,
             spans_high_water: g.high_water,
-            ..RecorderStats::default()
-        };
-        if let Some(r) = &g.recorder {
-            st.trees_evicted = r.trees_evicted;
-            st.trees_sampled_out = r.trees_sampled_out;
-            st.trees_retained = r.ring.len() as u64;
-            st.slow_trees = r.slow.len() as u64;
-            st.spans_shed = r.spans_shed;
+            trees_evicted: r.trees_evicted,
+            trees_sampled_out: r.trees_sampled_out,
+            trees_retained: r.ring.len() as u64,
+            slow_trees: r.slow.len() as u64,
+            spans_shed: r.spans_shed,
         }
-        st
     }
 
     /// Digests of the trees currently pinned by tail-based slow-trace
@@ -670,11 +652,9 @@ impl Scope {
             return Vec::new();
         };
         let g = inner.lock().unwrap();
-        let Some(r) = &g.recorder else {
-            return Vec::new();
-        };
-        r.slow
-            .iter()
+        g.recorder
+            .slow
+            .values()
             .map(|s| SlowTraceInfo {
                 trace: TraceId(s.trace),
                 root_layer: s.root_layer,
@@ -762,11 +742,13 @@ impl Scope {
             None => (None, trace),
         };
         // Revive the target tree before making room, so the eviction
-        // scan can't tear the tree this span is about to join.
-        if let Some(rec) = g.recorder.as_mut() {
-            rec.revive(t.0);
-        }
+        // scan can't tear the tree this span is about to join. If the
+        // span is shed anyway, re-complete the revived tree: left live
+        // with nothing open, it would sit outside every ring, never
+        // evictable, and wedge the recorder into shedding forever.
+        g.recorder.revive(t.0);
         if !g.reserve_slot() {
+            g.maybe_complete(t.0);
             return SpanHandle::NONE;
         }
         let now = (g.now)();
@@ -898,10 +880,7 @@ impl Scope {
             g.windows.clear();
             g.roots.clear();
             g.next_synthetic = 0;
-            if let Some(r) = g.recorder.as_mut() {
-                let cfg = r.cfg;
-                *r = Recorder::new(cfg);
-            }
+            g.recorder = Recorder::new(g.recorder.cfg);
         }
     }
 }
@@ -1112,14 +1091,8 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    fn ticking() -> (Arc<AtomicU64>, Scope) {
-        let t = Arc::new(AtomicU64::new(0));
-        let t2 = t.clone();
-        let scope = Scope::enabled(move || t2.fetch_add(10, Ordering::Relaxed));
-        (t, scope)
-    }
-
-    fn ticking_recorder(cfg: RecorderConfig) -> Scope {
+    /// A scope on a clock that advances 10 ns per read.
+    fn ticking(cfg: RecorderConfig) -> Scope {
         let t = Arc::new(AtomicU64::new(0));
         Scope::recording(move || t.fetch_add(10, Ordering::Relaxed), cfg)
     }
@@ -1140,7 +1113,7 @@ mod tests {
 
     #[test]
     fn nesting_gives_parents_and_binding_stamps_the_window() {
-        let (_, s) = ticking();
+        let s = ticking(RecorderConfig::default());
         let a = s.open("kernel", "pass_commit");
         let b = s.open("dpapi", "dp_commit");
         let batch = TraceId((1 << 63) | 42);
@@ -1160,7 +1133,7 @@ mod tests {
 
     #[test]
     fn unbound_window_gets_a_synthetic_trace() {
-        let (_, s) = ticking();
+        let s = ticking(RecorderConfig::default());
         let a = s.open("kernel", "read");
         s.close(a);
         let t = s.snapshot();
@@ -1173,7 +1146,7 @@ mod tests {
 
     #[test]
     fn linked_spans_join_the_batch_tree() {
-        let (_, s) = ticking();
+        let s = ticking(RecorderConfig::default());
         let batch = TraceId((1 << 63) | 7);
         let a = s.open("kernel", "pass_commit");
         s.bind_trace(batch);
@@ -1190,7 +1163,7 @@ mod tests {
 
     #[test]
     fn linked_span_without_a_root_becomes_one() {
-        let (_, s) = ticking();
+        let s = ticking(RecorderConfig::default());
         let batch = TraceId((1 << 63) | 9);
         let w = s.open_linked("waldo", "ingest_batch", batch);
         s.close(w);
@@ -1201,7 +1174,7 @@ mod tests {
 
     #[test]
     fn second_bind_in_one_window_aliases_onto_the_first_root() {
-        let (_, s) = ticking();
+        let s = ticking(RecorderConfig::default());
         let b1 = TraceId((1 << 63) | 1);
         let b2 = TraceId((1 << 63) | 2);
         let a = s.open("kernel", "pass_commit");
@@ -1219,7 +1192,7 @@ mod tests {
 
     #[test]
     fn current_ctx_reports_the_open_stack() {
-        let (_, s) = ticking();
+        let s = ticking(RecorderConfig::default());
         assert!(s.current_ctx().is_none());
         let a = s.open("kernel", "pass_commit");
         let ctx = s.current_ctx().unwrap();
@@ -1244,7 +1217,10 @@ mod tests {
         // dpapi self 80.
         let t = Arc::new(AtomicU64::new(0));
         let t2 = t.clone();
-        let s = Scope::enabled(move || t2.load(Ordering::Relaxed));
+        let s = Scope::recording(
+            move || t2.load(Ordering::Relaxed),
+            RecorderConfig::default(),
+        );
         let a = s.open("kernel", "pass_commit");
         t.store(10, Ordering::Relaxed);
         let b = s.open("dpapi", "dp_commit");
@@ -1265,7 +1241,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_malformed_trees() {
-        let (_, s) = ticking();
+        let s = ticking(RecorderConfig::default());
         let a = s.open("kernel", "x");
         s.close(a);
         let mut t = s.snapshot();
@@ -1278,7 +1254,7 @@ mod tests {
 
     #[test]
     fn clear_resets_the_universe() {
-        let (_, s) = ticking();
+        let s = ticking(RecorderConfig::default());
         let a = s.open("kernel", "x");
         s.close(a);
         s.clear();
@@ -1294,7 +1270,7 @@ mod tests {
     /// validates.
     #[test]
     fn threads_keep_independent_windows() {
-        let (_, s) = ticking();
+        let s = ticking(RecorderConfig::default());
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let s = s.clone();
@@ -1325,7 +1301,7 @@ mod tests {
     /// the one registered root of their batch trace.
     #[test]
     fn threaded_linked_spans_join_one_tree() {
-        let (_, s) = ticking();
+        let s = ticking(RecorderConfig::default());
         let batch = TraceId((1 << 63) | 11);
         let a = s.open("kernel", "pass_commit");
         s.bind_trace(batch);
@@ -1353,7 +1329,7 @@ mod tests {
 
     #[test]
     fn ring_evicts_whole_completed_trees_oldest_first() {
-        let s = ticking_recorder(RecorderConfig {
+        let s = ticking(RecorderConfig {
             capacity: 6,
             ..RecorderConfig::default()
         });
@@ -1389,7 +1365,7 @@ mod tests {
 
     #[test]
     fn live_spans_never_torn_but_shed_at_capacity() {
-        let s = ticking_recorder(RecorderConfig {
+        let s = ticking(RecorderConfig {
             capacity: 2,
             ..RecorderConfig::default()
         });
@@ -1421,7 +1397,7 @@ mod tests {
             ..RecorderConfig::default()
         };
         let run = || {
-            let s = ticking_recorder(cfg);
+            let s = ticking(cfg);
             for i in 0..32u64 {
                 let a = s.open("kernel", "pass_commit");
                 s.bind_trace(TraceId((1 << 63) | i));
@@ -1447,7 +1423,7 @@ mod tests {
 
     #[test]
     fn slow_trees_are_pinned_regardless_of_sampling() {
-        let s = ticking_recorder(RecorderConfig {
+        let s = ticking(RecorderConfig {
             sample_per_million: 0,
             slow_threshold_ns: 25,
             ..RecorderConfig::default()
@@ -1478,7 +1454,7 @@ mod tests {
 
     #[test]
     fn completed_tree_revives_on_linked_rejoin() {
-        let s = ticking_recorder(RecorderConfig {
+        let s = ticking(RecorderConfig {
             capacity: 16,
             ..RecorderConfig::default()
         });
@@ -1501,9 +1477,63 @@ mod tests {
         assert_eq!(t.spans_of(batch).len(), 2);
     }
 
+    /// A linked join that revives a retained tree and is then shed
+    /// must put the tree back in the ring: left live with nothing
+    /// open, it would be neither retained nor evictable, and every
+    /// later span would be shed.
+    #[test]
+    fn shed_linked_join_does_not_wedge_the_recorder() {
+        let s = ticking(RecorderConfig {
+            capacity: 1,
+            ..RecorderConfig::default()
+        });
+        let batch = TraceId((1 << 63) | 13);
+        let a = s.open("kernel", "pass_commit");
+        s.bind_trace(batch);
+        s.close(a);
+        assert_eq!(s.recorder_stats().trees_retained, 1);
+        // The batch's own single span fills capacity, so the late
+        // joiner is shed…
+        let w = s.open_linked("waldo", "ingest_batch", batch);
+        assert_eq!(w, SpanHandle::NONE);
+        let st = s.recorder_stats();
+        assert_eq!(st.spans_shed, 1);
+        assert_eq!(st.trees_retained, 1, "the revived tree is re-retained");
+        // …and the batch tree stays evictable: later windows evict it
+        // instead of shedding.
+        for _ in 0..6 {
+            let h = s.open("kernel", "read");
+            assert_ne!(h, SpanHandle::NONE);
+            s.close(h);
+        }
+        let st = s.recorder_stats();
+        assert_eq!(st.spans_shed, 1);
+        assert_eq!(st.trees_retained, 1);
+        assert_eq!(st.spans_live, 1);
+        s.snapshot().validate().unwrap();
+    }
+
+    /// The default config keeps everything, however many spans a run
+    /// opens: no eviction, no sampling, no shedding.
+    #[test]
+    fn default_config_keeps_every_span() {
+        let s = ticking(RecorderConfig::default());
+        let n = 100_000u64;
+        for _ in 0..n {
+            let h = s.open("kernel", "read");
+            s.close(h);
+        }
+        let st = s.recorder_stats();
+        assert_eq!((st.spans_live, st.trees_retained), (n, n));
+        assert_eq!(
+            (st.trees_evicted, st.trees_sampled_out, st.spans_shed),
+            (0, 0, 0)
+        );
+    }
+
     #[test]
     fn recorder_metrics_export_and_clear_reset() {
-        let s = ticking_recorder(RecorderConfig {
+        let s = ticking(RecorderConfig {
             capacity: 2,
             ..RecorderConfig::default()
         });

@@ -12,9 +12,7 @@
 use std::collections::BTreeMap;
 
 use provscope::RecorderConfig;
-use provtorture::{
-    torture, torture_with_recorder, CaseReport, Verdict, ALL_FAULTS, ALL_TOPOLOGIES,
-};
+use provtorture::{torture, CaseReport, Verdict, ALL_FAULTS, ALL_TOPOLOGIES};
 use workloads::SelfIngest;
 
 /// Interleaving-independent shape of a Chrome trace: span counts per
@@ -29,7 +27,9 @@ fn trace_shape(json: &str) -> BTreeMap<(String, String, bool), usize> {
     shape
 }
 
-fn run_matrix(seed: u64) -> Vec<CaseReport> {
+/// The whole matrix with the faulted twin's scope retaining spans
+/// under `recorder`.
+fn run_matrix(seed: u64, recorder: RecorderConfig) -> Vec<CaseReport> {
     let wl = SelfIngest {
         sources: 3,
         src_bytes: 512,
@@ -38,7 +38,7 @@ fn run_matrix(seed: u64) -> Vec<CaseReport> {
     let mut reports = Vec::new();
     for topo in ALL_TOPOLOGIES {
         for fault in &ALL_FAULTS {
-            reports.push(torture(&wl, topo, fault, seed));
+            reports.push(torture(&wl, topo, fault, seed, recorder));
         }
     }
     reports
@@ -60,34 +60,13 @@ fn recorder_config() -> RecorderConfig {
     }
 }
 
-fn run_matrix_recorded(seed: u64) -> Vec<CaseReport> {
-    let wl = SelfIngest {
-        sources: 3,
-        src_bytes: 512,
-        cpu_per_unit: 500,
-    };
-    let mut reports = Vec::new();
-    for topo in ALL_TOPOLOGIES {
-        for fault in &ALL_FAULTS {
-            reports.push(torture_with_recorder(
-                &wl,
-                topo,
-                fault,
-                seed,
-                Some(recorder_config()),
-            ));
-        }
-    }
-    reports
-}
-
 fn main() {
     let seed = std::env::var("PROVTORTURE_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0x7061_7373_7632);
-    let mut first = run_matrix(seed);
-    let mut second = run_matrix(seed);
+    let mut first = run_matrix(seed, RecorderConfig::default());
+    let mut second = run_matrix(seed, RecorderConfig::default());
     for (a, b) in first.iter_mut().zip(second.iter_mut()) {
         assert_eq!(
             trace_shape(&a.trace_json),
@@ -138,8 +117,8 @@ fn main() {
     // recorder runs must retain *identical* batch trace-id sets —
     // exactly the sampled subset of the unbounded run's.
     let cfg = recorder_config();
-    let rec_a = run_matrix_recorded(seed);
-    let rec_b = run_matrix_recorded(seed);
+    let rec_a = run_matrix(seed, cfg);
+    let rec_b = run_matrix(seed, cfg);
     for ((a, b), full) in rec_a.iter().zip(&rec_b).zip(&first) {
         let cell = format!("{} under {}", a.fault, a.topology.name());
         assert_eq!(

@@ -123,10 +123,10 @@ pub struct CaseReport {
     pub trace_json: String,
     /// The volume-salted **batch** trace ids the faulted twin's scope
     /// retained, sorted. Batch ids are content-derived, so under a
-    /// [`torture_with_recorder`] run with head sampling this set is
-    /// reproducible even on the threaded cluster runtime (where
-    /// synthetic trace ids depend on interleaving) — the smoke binary
-    /// asserts same-seed recorder runs retain identical sets.
+    /// recorder with head sampling this set is reproducible even on
+    /// the threaded cluster runtime (where synthetic trace ids depend
+    /// on interleaving) — the smoke binary asserts same-seed recorder
+    /// runs retain identical sets.
     pub sampled_traces: Vec<u64>,
 }
 
@@ -231,22 +231,18 @@ fn torture_config() -> WaldoConfig {
 }
 
 /// Runs one matrix cell: the faulted twin, then the reference twin on
-/// an identical schedule, then the two-sided oracle.
-pub fn torture(w: &dyn Workload, topo: Topology, fault: &Fault, seed: u64) -> CaseReport {
-    torture_with_recorder(w, topo, fault, seed, None)
-}
-
-/// [`torture`] with the faulted twin's scope running the bounded
-/// flight recorder instead of unbounded tracing. The oracle is
-/// unchanged — the recorder only decides which completed trace trees
-/// are *retained*, so verdicts must match the unbounded run's
-/// verbatim (the smoke binary asserts this).
-pub fn torture_with_recorder(
+/// an identical schedule, then the two-sided oracle. The faulted
+/// twin's scope retains spans under `recorder`
+/// ([`provscope::RecorderConfig::default`] keeps every span). The
+/// oracle does not depend on it — the recorder only decides which
+/// completed trace trees are *retained*, so verdicts must match
+/// across recorder configs verbatim (the smoke binary asserts this).
+pub fn torture(
     w: &dyn Workload,
     topo: Topology,
     fault: &Fault,
     seed: u64,
-    recorder: Option<provscope::RecorderConfig>,
+    recorder: provscope::RecorderConfig,
 ) -> CaseReport {
     let schedule = Schedule {
         skip_last_checkpoint: fault.skips_final_checkpoint(),
@@ -254,7 +250,7 @@ pub fn torture_with_recorder(
     let mut fault_rng = TortureRng::for_case(seed, w.name(), topo.name(), fault.name());
     let faulted = execute(w, topo, Some(fault), schedule, &mut fault_rng, recorder);
     let mut ref_rng = TortureRng::for_case(seed, w.name(), topo.name(), "reference");
-    let reference = execute(w, topo, None, schedule, &mut ref_rng, None);
+    let reference = execute(w, topo, None, schedule, &mut ref_rng, recorder);
     assert!(
         reference.signals.is_empty(),
         "the fault-free twin raised detection signals — a harness bug: {:?}",
@@ -283,7 +279,14 @@ pub fn run_clean(w: &dyn Workload, topo: Topology, seed: u64) -> CleanRun {
     let schedule = Schedule {
         skip_last_checkpoint: false,
     };
-    let out = execute(w, topo, None, schedule, &mut rng, None);
+    let out = execute(
+        w,
+        topo,
+        None,
+        schedule,
+        &mut rng,
+        provscope::RecorderConfig::default(),
+    );
     assert!(
         out.signals.is_empty(),
         "a fault-free run raised detection signals: {:?}",
@@ -298,15 +301,13 @@ fn execute(
     fault: Option<&Fault>,
     schedule: Schedule,
     rng: &mut TortureRng,
-    recorder: Option<provscope::RecorderConfig>,
+    recorder: provscope::RecorderConfig,
 ) -> RunOutput {
     let cfg = torture_config();
     let mut builder = SystemBuilder::new(CostModel::default())
         .waldo_config(cfg)
+        .flight_recorder(recorder)
         .plain_volume("/db");
-    if let Some(rc) = recorder {
-        builder = builder.flight_recorder(rc);
-    }
     for v in 1..=VOLUMES {
         builder = builder.pass_volume(&format!("/v{v}"), VolumeId(v));
     }

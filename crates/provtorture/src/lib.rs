@@ -39,10 +39,7 @@ pub mod harness;
 pub mod shape;
 
 pub use fault::{Fault, ALL_FAULTS};
-pub use harness::{
-    run_clean, torture, torture_with_recorder, CaseReport, CleanRun, Topology, Verdict,
-    ALL_TOPOLOGIES,
-};
+pub use harness::{run_clean, torture, CaseReport, CleanRun, Topology, Verdict, ALL_TOPOLOGIES};
 pub use shape::{reaches, GraphShape};
 
 /// The harness's deterministic generator: a splitmix64 chain, seeded

@@ -4,6 +4,7 @@
 //! silent divergence**: a tamper either raises a typed signal or
 //! leaves the store byte-equal to the fault-free twin.
 
+use provscope::RecorderConfig;
 use provtorture::{torture, Fault, Topology, Verdict, ALL_FAULTS, ALL_TOPOLOGIES};
 use workloads::{Postmark, SelfIngest};
 
@@ -55,7 +56,7 @@ fn full_matrix_detects_or_proves_harmless() {
     let wl = tiny_build();
     for topo in ALL_TOPOLOGIES {
         for fault in ALL_FAULTS {
-            let report = torture(&wl, topo, &fault, SEED);
+            let report = torture(&wl, topo, &fault, SEED, RecorderConfig::default());
             assert!(
                 report.applied.is_some(),
                 "fault {} found no target under {} — harness bug",
@@ -93,8 +94,20 @@ fn identical_seed_gives_identical_reports() {
         Fault::DropSegment,
         Fault::TearManifestPublish,
     ] {
-        let mut a = torture(&wl, Topology::Cluster2, &fault, SEED);
-        let mut b = torture(&wl, Topology::Cluster2, &fault, SEED);
+        let mut a = torture(
+            &wl,
+            Topology::Cluster2,
+            &fault,
+            SEED,
+            RecorderConfig::default(),
+        );
+        let mut b = torture(
+            &wl,
+            Topology::Cluster2,
+            &fault,
+            SEED,
+            RecorderConfig::default(),
+        );
         assert_eq!(
             trace_shape(&a.trace_json),
             trace_shape(&b.trace_json),
@@ -131,7 +144,13 @@ fn seed_sweep_never_diverges_silently() {
             Fault::FlipManifestBit,
             Fault::TruncateWal,
         ] {
-            let report = torture(&wl, Topology::DurableRestart, &fault, seed);
+            let report = torture(
+                &wl,
+                Topology::DurableRestart,
+                &fault,
+                seed,
+                RecorderConfig::default(),
+            );
             assert_ne!(
                 report.verdict(),
                 Verdict::SilentDivergence,
@@ -156,7 +175,7 @@ fn postmark_subset_holds_the_contract() {
             Fault::ForgeBatchId,
             Fault::TruncateManifest,
         ] {
-            let report = torture(&wl, topo, &fault, SEED);
+            let report = torture(&wl, topo, &fault, SEED, RecorderConfig::default());
             assert!(report.applied.is_some(), "{report:?}");
             let verdict = report.verdict();
             assert!(

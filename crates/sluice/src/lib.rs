@@ -8,9 +8,9 @@
 //! [`Ticket`] back immediately; a drainer coalesces queued
 //! transactions into larger *group frames* and drives `pass_commit`
 //! off the caller's critical path, delivering each transaction's
-//! index-aligned [`OpResult`]s through the ticket (poll with
-//! [`Sluice::poll`]/[`Sluice::take`], or register a completion
-//! callback with [`Sluice::submit_with`]).
+//! index-aligned [`OpResult`]s through the ticket: collect them with
+//! [`Sluice::take`] (or block on one with [`Sluice::wait`]), or
+//! register a completion callback with [`Sluice::submit_with`].
 //!
 //! # Queue model
 //!
@@ -154,17 +154,6 @@ impl Ticket {
     pub fn raw(self) -> u64 {
         self.0
     }
-}
-
-/// Where a ticket's transaction currently stands.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TicketStatus {
-    /// Still queued; a future drain will commit it.
-    Pending,
-    /// Committed successfully; [`Sluice::take`] yields the results.
-    Done,
-    /// Commit failed; [`Sluice::take`] yields the error.
-    Failed,
 }
 
 /// Monotone counters describing sluice activity. Level metrics (queue
@@ -351,8 +340,7 @@ impl Sluice {
     }
 
     /// Submits a transaction for asynchronous commit, returning a
-    /// completion ticket to [`Sluice::poll`]/[`Sluice::take`]/
-    /// [`Sluice::wait`] on.
+    /// completion ticket to [`Sluice::take`]/[`Sluice::wait`] on.
     ///
     /// `layer` is the substrate a blocking submission drains into; a
     /// non-blocking submission does not touch it. Admission control
@@ -373,7 +361,7 @@ impl Sluice {
     /// [`Sluice::submit`], delivering the completion to `cb` instead
     /// of retaining it: when the transaction resolves, `cb` receives
     /// the ticket and the owned outcome, and nothing is kept for
-    /// [`Sluice::poll`]/[`Sluice::take`] — the fire-and-forget shape
+    /// [`Sluice::take`] — the fire-and-forget shape
     /// whose completion storage cannot grow without bound.
     pub fn submit_with(
         &mut self,
@@ -635,19 +623,9 @@ impl Sluice {
         self.scope.close(span);
     }
 
-    /// Where `ticket` stands. `None` for a ticket this sluice never
-    /// issued, already [`Sluice::take`]n, or delivered to a callback.
-    pub fn poll(&self, ticket: Ticket) -> Option<TicketStatus> {
-        if self.queue.iter().any(|p| p.ticket == ticket) {
-            return Some(TicketStatus::Pending);
-        }
-        self.done.get(&ticket).map(|c| match c {
-            Ok(_) => TicketStatus::Done,
-            Err(_) => TicketStatus::Failed,
-        })
-    }
-
-    /// Removes and returns `ticket`'s completion, if resolved.
+    /// Removes and returns `ticket`'s completion, if resolved. `None`
+    /// while the ticket is still queued, and for a ticket this sluice
+    /// never issued, already took, or delivered to a callback.
     pub fn take(&mut self, ticket: Ticket) -> Option<Completion> {
         self.done.remove(&ticket)
     }

@@ -83,20 +83,20 @@ fn coalescing_amortizes_commits_and_slices_results() {
         .collect();
     assert_eq!(s.queue_depth(), 8);
     assert_eq!(layer.commits, 0, "submit must stay off the commit path");
-    assert!(tickets
-        .iter()
-        .all(|t| s.poll(*t) == Some(TicketStatus::Pending)));
+    assert!(
+        tickets.iter().all(|t| s.take(*t).is_none()),
+        "queued tickets have no completion yet"
+    );
 
     let frames = s.drain(&mut layer);
     assert_eq!(frames, 1, "8 one-op txns coalesce into one frame");
     assert_eq!(layer.commits, 1);
     assert_eq!(layer.committed_ops, 8);
     for t in &tickets {
-        assert_eq!(s.poll(*t), Some(TicketStatus::Done));
         let results = s.take(*t).unwrap().unwrap();
         assert_eq!(results.len(), 1, "each ticket gets exactly its own ops");
         assert_eq!(results[0].as_written().unwrap().written, 4);
-        assert_eq!(s.poll(*t), None, "take consumes the completion");
+        assert!(s.take(*t).is_none(), "take consumes the completion");
     }
     let st = s.stats();
     assert_eq!((st.frames, st.frame_txns, st.frame_ops), (1, 8, 8));
@@ -189,9 +189,10 @@ fn block_policy_drains_inline_and_never_errors() {
     // Queue full: this submission drains inline to make room.
     let t3 = s.submit(&mut layer, C, write_txn(3, 1)).unwrap();
     assert!(layer.commits >= 1, "blocked submit paid for a drain");
-    assert_eq!(s.poll(t1), Some(TicketStatus::Done));
-    assert_eq!(s.poll(t2), Some(TicketStatus::Done));
-    assert_eq!(s.poll(t3), Some(TicketStatus::Pending));
+    assert!(s.take(t1).unwrap().is_ok());
+    assert!(s.take(t2).unwrap().is_ok());
+    assert!(s.take(t3).is_none(), "t3 is still queued");
+    assert_eq!(s.queue_depth(), 1);
     assert_eq!(s.stats().blocked_submits, 1);
     s.drain(&mut layer);
     assert!(s.take(t3).unwrap().is_ok());
@@ -308,7 +309,6 @@ fn single_txn_frame_abort_fails_directly_without_split() {
     let bad = s.submit(&mut layer, C, write_txn(666, 4)).unwrap();
     s.drain(&mut layer);
     assert_eq!(layer.commits, 1);
-    assert_eq!(s.poll(bad), Some(TicketStatus::Failed));
     assert!(s.take(bad).unwrap().is_err());
     assert_eq!(s.stats().split_commits, 0);
 }
@@ -329,8 +329,7 @@ fn callbacks_fire_on_resolution_and_retain_nothing() {
     assert!(seen.borrow().is_empty(), "callback waits for the drain");
     s.drain(&mut layer);
     assert_eq!(*seen.borrow(), vec![(t, 1)]);
-    assert_eq!(s.poll(t), None, "callback completions are not retained");
-    assert!(s.take(t).is_none());
+    assert!(s.take(t).is_none(), "callback completions are not retained");
 }
 
 #[test]
@@ -338,7 +337,6 @@ fn empty_txn_completes_immediately() {
     let mut layer = StubLayer::default();
     let mut s = Sluice::new(SluiceConfig::default());
     let t = s.submit(&mut layer, C, Txn::new()).unwrap();
-    assert_eq!(s.poll(t), Some(TicketStatus::Done));
     assert_eq!(s.take(t).unwrap().unwrap(), Vec::<OpResult>::new());
     assert_eq!(s.queue_depth(), 0);
     assert_eq!(layer.commits, 0);
@@ -462,7 +460,10 @@ fn tracing_scope_binds_flush_spans_and_links_tickets() {
 
     let now = Arc::new(AtomicU64::new(0));
     let n = Arc::clone(&now);
-    let scope = Scope::enabled(move || n.fetch_add(1, Ordering::Relaxed) + 1);
+    let scope = Scope::recording(
+        move || n.fetch_add(1, Ordering::Relaxed) + 1,
+        provscope::RecorderConfig::default(),
+    );
     let mut layer = BindingLayer {
         scope: scope.clone(),
         next_batch: Cell::new(1),

@@ -10,7 +10,7 @@
 use dpapi::{Attribute, Bundle, DpapiError, Handle, ProvenanceRecord, RejectReason, Value};
 use passv2::{LibPass, System};
 use sim_os::proc::Pid;
-use sluice::{BackpressurePolicy, ClientId, Quota, Sluice, SluiceConfig, TicketStatus};
+use sluice::{BackpressurePolicy, ClientId, Quota, Sluice, SluiceConfig};
 
 struct Fixture {
     sys: System,
@@ -92,7 +92,7 @@ fn reject_policy_returns_exact_queue_full_error() {
         .unwrap();
     pipe.wait(&mut layer, t).unwrap();
     for t in tickets {
-        assert_eq!(pipe.poll(t), Some(TicketStatus::Done));
+        assert!(pipe.take(t).unwrap().is_ok());
     }
 }
 

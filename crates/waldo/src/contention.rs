@@ -4,9 +4,9 @@
 //! `Sync` behind a meta-mutex → per-shard-`RwLock` → cache-mutex
 //! hierarchy plus an epoch seqlock — and made every wait on those
 //! locks invisible. This module gives each level of the hierarchy a
-//! lock-free wait histogram and the seqlock its retry/fallback
-//! counters, so "readers stalled behind a commit storm" is a number
-//! in the registry instead of a guess.
+//! lock-free wait histogram ([`provscope::AtomicHistogram`]) and the
+//! seqlock its retry/fallback counters, so "readers stalled behind a
+//! commit storm" is a number in the registry instead of a guess.
 //!
 //! Everything here is **wall-clock** (`std::time::Instant`), which is
 //! the whole point — virtual time never advances while a thread sits
@@ -21,50 +21,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use provscope::{Histogram, MetricSource};
-
-/// A lock-free mirror of [`provscope::Histogram`]: the same 65 log₂
-/// buckets, maintained with relaxed atomics so hot paths can observe
-/// waits without taking yet another lock to profile the first one.
-pub struct AtomicHist {
-    buckets: [AtomicU64; 65],
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-impl Default for AtomicHist {
-    fn default() -> AtomicHist {
-        AtomicHist {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-}
-
-impl AtomicHist {
-    /// Records one observation (relaxed; tearing across fields only
-    /// skews a concurrent snapshot by in-flight observations).
-    pub fn observe(&self, v: u64) {
-        let i = (64 - v.leading_zeros()) as usize;
-        self.buckets[i].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Materializes the current contents as a plain histogram.
-    pub fn snapshot(&self) -> Histogram {
-        let mut b = [0u64; 65];
-        for (dst, src) in b.iter_mut().zip(self.buckets.iter()) {
-            *dst = src.load(Ordering::Relaxed);
-        }
-        Histogram::from_parts(
-            b,
-            self.count.load(Ordering::Relaxed),
-            self.sum.load(Ordering::Relaxed),
-        )
-    }
-}
+use provscope::{AtomicHistogram, MetricSource};
 
 /// Per-store contention instrumentation, owned by the store and
 /// updated lock-free from every path that waits.
@@ -81,14 +38,14 @@ pub struct Contention {
     /// Commit (and merge) windows — times the epoch went odd.
     pub commit_windows: AtomicU64,
     /// Wall-clock wait to acquire the meta mutex (lock level 1).
-    pub meta_wait: AtomicHist,
+    pub meta_wait: AtomicHistogram,
     /// Wall-clock wait to acquire per-shard write locks (level 2).
-    pub shard_wait: AtomicHist,
+    pub shard_wait: AtomicHistogram,
     /// Wall-clock wait to acquire the query-cache mutexes (level 3).
-    pub cache_wait: AtomicHist,
+    pub cache_wait: AtomicHistogram,
     /// Wall-clock duration of the odd-epoch commit window — how long
     /// concurrent snapshot readers were forced to retry.
-    pub commit_window: AtomicHist,
+    pub commit_window: AtomicHistogram,
 }
 
 impl Contention {
@@ -130,18 +87,6 @@ impl MetricSource for ContentionStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn atomic_hist_mirrors_the_plain_histogram() {
-        let a = AtomicHist::default();
-        let mut h = Histogram::default();
-        for v in [0u64, 1, 7, 1024, 1 << 40] {
-            a.observe(v);
-            h.observe(v);
-        }
-        assert_eq!(a.snapshot(), h);
-        assert_eq!(a.snapshot().quantile(0.5), h.quantile(0.5));
-    }
 
     #[test]
     fn stats_snapshot_and_metric_source_agree() {

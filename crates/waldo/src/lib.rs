@@ -99,7 +99,7 @@ pub use cluster::{
     ingest_images_threaded, route_volume, Cluster, ClusterCheckpointError, ClusterGraphSource,
     ClusterMemberError, ClusterPollReport, ClusterRuntime, MemberTiming, VolumePoll,
 };
-pub use contention::{AtomicHist, Contention, ContentionStats};
+pub use contention::{Contention, ContentionStats};
 pub use daemon::{LogImage, QueryOps, RestartError, Waldo};
 pub use db::{DbSize, IngestStats, ObjectEntry, ProvDb, VersionEntry};
 pub use store::{MergeError, Store, WaldoConfig};
