@@ -16,8 +16,12 @@
 //!           | Bytes: u32 len + bytes | StrList: u32 n + n * (u32 len + bytes)
 //!           | Xref: u32 volume, u64 pnode, u32 version
 //! ```
+//!
+//! [`Reader`] is the bounded decoder behind this format and every
+//! format that embeds it: the Lasagna log, Waldo's WAL, checkpoint
+//! segments and manifests.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 
 use crate::error::{DpapiError, Result};
 use crate::id::{ObjectRef, Pnode, Version, VolumeId};
@@ -30,6 +34,163 @@ const TAG_BYTES: u8 = 3;
 const TAG_STRLIST: u8 = 4;
 const TAG_XREF: u8 = 5;
 
+/// The one bounded decoder every binary format in the workspace reads
+/// through: a little-endian cursor over borrowed bytes.
+///
+/// Every read checks the bytes left and fails with
+/// [`DpapiError::Malformed`] instead of panicking, and slices and
+/// strings borrow from the input rather than copying it. Element
+/// counts go through [`Reader::count`], whose rule — a count whose
+/// minimum encoding exceeds the bytes left is malformed — bounds every
+/// allocation a decoder makes by the length of its input.
+#[derive(Clone, Debug)]
+pub struct Reader<'a> {
+    data: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader positioned at the start of `data`.
+    pub fn new(data: &'a [u8]) -> Reader<'a> {
+        Reader { data, pos: 0 }
+    }
+
+    /// Bytes not yet read.
+    #[inline]
+    pub fn remaining(&self) -> usize {
+        self.data.len() - self.pos
+    }
+
+    /// True once every byte has been read.
+    pub fn is_empty(&self) -> bool {
+        self.remaining() == 0
+    }
+
+    /// Offset of the next unread byte from the start of the input.
+    pub fn position(&self) -> usize {
+        self.pos
+    }
+
+    /// The next `n` bytes, borrowed from the input.
+    #[inline]
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8]> {
+        if n > self.remaining() {
+            return Err(self.truncated(n));
+        }
+        let out = &self.data[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(out)
+    }
+
+    #[cold]
+    fn truncated(&self, n: usize) -> DpapiError {
+        DpapiError::Malformed(format!(
+            "truncated: {n} bytes needed at offset {}, {} left",
+            self.pos,
+            self.remaining()
+        ))
+    }
+
+    /// The next `N` bytes as an array.
+    #[inline]
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        Ok(self.bytes(N)?.try_into().expect("slice of length N"))
+    }
+
+    /// Reads a `u8`.
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    /// Reads a little-endian `u16`.
+    #[inline]
+    pub fn u16(&mut self) -> Result<u16> {
+        Ok(u16::from_le_bytes(self.array()?))
+    }
+
+    /// Reads a little-endian `u32`.
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    /// Reads a little-endian `u64`.
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// Reads a little-endian `i64`.
+    #[inline]
+    pub fn i64(&mut self) -> Result<i64> {
+        Ok(i64::from_le_bytes(self.array()?))
+    }
+
+    /// The next `len` bytes as UTF-8 text, borrowed from the input.
+    pub fn utf8(&mut self, len: usize) -> Result<&'a str> {
+        std::str::from_utf8(self.bytes(len)?)
+            .map_err(|_| DpapiError::Malformed("invalid UTF-8".into()))
+    }
+
+    /// A `u32`-length-prefixed UTF-8 string.
+    pub fn str(&mut self) -> Result<&'a str> {
+        let len = self.u32()? as usize;
+        self.utf8(len)
+    }
+
+    /// A `u32` element count whose elements each encode to at least
+    /// `min_elem_bytes`. A count whose minimum encoding exceeds the
+    /// bytes left is malformed, so a decoder may preallocate for the
+    /// count it gets: a length prefix can never claim more than the
+    /// input holds.
+    pub fn count(&mut self, min_elem_bytes: usize) -> Result<usize> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(min_elem_bytes) > self.remaining() {
+            return Err(DpapiError::Malformed(format!(
+                "count {n} at offset {} needs at least {min_elem_bytes} bytes each, {} left",
+                self.pos - 4,
+                self.remaining()
+            )));
+        }
+        Ok(n)
+    }
+
+    /// A [`count`](Reader::count)-prefixed list, each element read by
+    /// `elem`.
+    pub fn list<T>(
+        &mut self,
+        min_elem_bytes: usize,
+        mut elem: impl FnMut(&mut Reader<'a>) -> Result<T>,
+    ) -> Result<Vec<T>> {
+        let n = self.count(min_elem_bytes)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(elem(self)?);
+        }
+        Ok(out)
+    }
+
+    /// Ends decoding: bytes left over are malformed.
+    pub fn finish(self) -> Result<()> {
+        if !self.is_empty() {
+            return Err(DpapiError::Malformed(format!(
+                "{} trailing bytes at offset {}",
+                self.remaining(),
+                self.pos
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// Smallest encoding of one record: an empty attribute name and a
+/// one-byte `Bool` payload.
+pub const MIN_RECORD_BYTES: usize = 2 + 1 + 1;
+
+/// Encoded size of an [`ObjectRef`].
+pub const OBJECT_REF_BYTES: usize = 16;
+
 /// Encodes an [`ObjectRef`] into `buf`.
 pub fn put_object_ref(buf: &mut BytesMut, r: ObjectRef) {
     buf.put_u32_le(r.pnode.volume.0);
@@ -37,33 +198,35 @@ pub fn put_object_ref(buf: &mut BytesMut, r: ObjectRef) {
     buf.put_u32_le(r.version.0);
 }
 
-/// Decodes an [`ObjectRef`] from `buf`.
-pub fn get_object_ref(buf: &mut Bytes) -> Result<ObjectRef> {
-    if buf.remaining() < 16 {
-        return Err(DpapiError::Malformed("truncated object ref".into()));
-    }
-    let volume = VolumeId(buf.get_u32_le());
-    let number = buf.get_u64_le();
-    let version = Version(buf.get_u32_le());
+/// Decodes an [`ObjectRef`] (volume `u32`, pnode number `u64`,
+/// version `u32`); fewer than 16 bytes left is
+/// [`DpapiError::Malformed`].
+pub fn get_object_ref(r: &mut Reader<'_>) -> Result<ObjectRef> {
+    let volume = VolumeId(r.u32()?);
+    let number = r.u64()?;
+    let version = Version(r.u32()?);
     Ok(ObjectRef::new(Pnode::new(volume, number), version))
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
+/// Encodes a `u32`-length-prefixed string (read back by
+/// [`Reader::str`]).
+pub fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
 }
 
-fn get_str(buf: &mut Bytes) -> Result<String> {
-    if buf.remaining() < 4 {
-        return Err(DpapiError::Malformed("truncated string length".into()));
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(DpapiError::Malformed("truncated string body".into()));
-    }
-    let raw = buf.split_to(len);
-    String::from_utf8(raw.to_vec())
-        .map_err(|_| DpapiError::Malformed("invalid UTF-8 in record".into()))
+/// Encodes an attribute name behind its `u16` length prefix. Callers
+/// pass names [`validate_record`] accepts.
+pub fn put_attribute(buf: &mut BytesMut, attr: &Attribute) {
+    let name = attr.as_str();
+    buf.put_u16_le(name.len() as u16);
+    buf.put_slice(name.as_bytes());
+}
+
+/// Decodes an attribute written by [`put_attribute`].
+pub fn get_attribute(r: &mut Reader<'_>) -> Result<Attribute> {
+    let len = r.u16()? as usize;
+    Ok(Attribute::from_name(r.utf8(len)?))
 }
 
 /// Checks that `rec` is representable in the wire encoding: the
@@ -108,9 +271,7 @@ pub fn validate_record(rec: &ProvenanceRecord) -> Result<()> {
 /// length is a `u16` on the wire; it used to be silently truncated).
 pub fn put_record(buf: &mut BytesMut, rec: &ProvenanceRecord) -> Result<()> {
     validate_record(rec)?;
-    let name = rec.attribute.as_str();
-    buf.put_u16_le(name.len() as u16);
-    buf.put_slice(name.as_bytes());
+    put_attribute(buf, &rec.attribute);
     match &rec.value {
         Value::Int(i) => {
             buf.put_u8(TAG_INT);
@@ -144,58 +305,22 @@ pub fn put_record(buf: &mut BytesMut, rec: &ProvenanceRecord) -> Result<()> {
     Ok(())
 }
 
-/// Decodes one provenance record from `buf`.
-pub fn get_record(buf: &mut Bytes) -> Result<ProvenanceRecord> {
-    if buf.remaining() < 2 {
-        return Err(DpapiError::Malformed("truncated attribute length".into()));
-    }
-    let name_len = buf.get_u16_le() as usize;
-    if buf.remaining() < name_len {
-        return Err(DpapiError::Malformed("truncated attribute name".into()));
-    }
-    let name_raw = buf.split_to(name_len);
-    let name = std::str::from_utf8(&name_raw)
-        .map_err(|_| DpapiError::Malformed("invalid UTF-8 attribute".into()))?;
-    let attribute = Attribute::from_name(name);
-    if buf.remaining() < 1 {
-        return Err(DpapiError::Malformed("truncated value tag".into()));
-    }
-    let value = match buf.get_u8() {
-        TAG_INT => {
-            if buf.remaining() < 8 {
-                return Err(DpapiError::Malformed("truncated int".into()));
-            }
-            Value::Int(buf.get_i64_le())
-        }
-        TAG_STR => Value::Str(get_str(buf)?),
-        TAG_BOOL => {
-            if buf.remaining() < 1 {
-                return Err(DpapiError::Malformed("truncated bool".into()));
-            }
-            Value::Bool(buf.get_u8() != 0)
-        }
+/// Decodes one provenance record, advancing `r` past it. Any
+/// truncation, unknown value tag, invalid UTF-8 or oversized count is
+/// [`DpapiError::Malformed`]; nothing is allocated beyond what the
+/// input's own bytes can back.
+pub fn get_record(r: &mut Reader<'_>) -> Result<ProvenanceRecord> {
+    let attribute = get_attribute(r)?;
+    let value = match r.u8()? {
+        TAG_INT => Value::Int(r.i64()?),
+        TAG_STR => Value::Str(r.str()?.to_owned()),
+        TAG_BOOL => Value::Bool(r.u8()? != 0),
         TAG_BYTES => {
-            if buf.remaining() < 4 {
-                return Err(DpapiError::Malformed("truncated bytes length".into()));
-            }
-            let len = buf.get_u32_le() as usize;
-            if buf.remaining() < len {
-                return Err(DpapiError::Malformed("truncated bytes body".into()));
-            }
-            Value::Bytes(buf.split_to(len).to_vec())
+            let len = r.u32()? as usize;
+            Value::Bytes(r.bytes(len)?.to_vec())
         }
-        TAG_STRLIST => {
-            if buf.remaining() < 4 {
-                return Err(DpapiError::Malformed("truncated list length".into()));
-            }
-            let n = buf.get_u32_le() as usize;
-            let mut l = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                l.push(get_str(buf)?);
-            }
-            Value::StrList(l)
-        }
-        TAG_XREF => Value::Xref(get_object_ref(buf)?),
+        TAG_STRLIST => Value::StrList(r.list(4, |r| Ok(r.str()?.to_owned()))?),
+        TAG_XREF => Value::Xref(get_object_ref(r)?),
         tag => {
             return Err(DpapiError::Malformed(format!("unknown value tag {tag}")));
         }
@@ -227,11 +352,9 @@ pub fn encode_record(rec: &ProvenanceRecord) -> Result<Vec<u8>> {
 /// Decodes a record from a standalone byte slice, requiring the slice
 /// to be fully consumed.
 pub fn decode_record(data: &[u8]) -> Result<ProvenanceRecord> {
-    let mut buf = Bytes::copy_from_slice(data);
-    let rec = get_record(&mut buf)?;
-    if buf.has_remaining() {
-        return Err(DpapiError::Malformed("trailing bytes after record".into()));
-    }
+    let mut r = Reader::new(data);
+    let rec = get_record(&mut r)?;
+    r.finish()?;
     Ok(rec)
 }
 
@@ -328,11 +451,58 @@ mod tests {
         for r in &recs {
             put_record(&mut buf, r).unwrap();
         }
-        let mut stream = buf.freeze();
+        let mut stream = Reader::new(&buf);
         let mut out = Vec::new();
-        while stream.has_remaining() {
+        while !stream.is_empty() {
             out.push(get_record(&mut stream).unwrap());
         }
         assert_eq!(out, recs);
+    }
+
+    #[test]
+    fn reader_rejects_a_count_the_input_cannot_hold() {
+        // A count of 2^32 - 1 four-byte elements on a 16-byte input
+        // (the largest a u32 prefix can claim): rejected by the count
+        // rule itself, before any element is read or any buffer
+        // allocated — so `list` never reaches `Vec::with_capacity`.
+        let mut input = u32::MAX.to_le_bytes().to_vec();
+        input.extend_from_slice(&[0u8; 12]);
+        assert_eq!(input.len(), 16);
+        let mut r = Reader::new(&input);
+        assert!(matches!(r.count(4), Err(DpapiError::Malformed(_))));
+        let mut calls = 0;
+        let got = Reader::new(&input).list(4, |r| {
+            calls += 1;
+            r.u32()
+        });
+        assert!(matches!(got, Err(DpapiError::Malformed(_))));
+        assert_eq!(calls, 0, "no element may be read past a rejected count");
+        // Three four-byte elements fit in the twelve bytes left.
+        let mut ok = 3u32.to_le_bytes().to_vec();
+        ok.extend_from_slice(&[0u8; 12]);
+        let mut r = Reader::new(&ok);
+        assert_eq!(r.count(4).unwrap(), 3);
+        assert_eq!(r.remaining(), 12);
+    }
+
+    #[test]
+    fn reader_reads_borrow_and_bound() {
+        let data = [7u8, 0xef, 0xbe, 2, 0, 0, 0, b'h', b'i', 0xff];
+        let mut r = Reader::new(&data);
+        assert_eq!(r.u8().unwrap(), 7);
+        assert_eq!(r.u16().unwrap(), 0xbeef);
+        let s = r.str().unwrap();
+        assert_eq!(s, "hi");
+        assert!(std::ptr::eq(s.as_ptr(), &data[7]), "strings borrow");
+        assert_eq!(r.position(), 9);
+        assert!(matches!(r.u32(), Err(DpapiError::Malformed(_))));
+        assert_eq!(r.position(), 9, "a failed read consumes nothing");
+        assert!(r.clone().finish().is_err());
+        r.u8().unwrap();
+        r.finish().unwrap();
+        assert!(
+            Reader::new(&[1, 0, 0, 0, 0xff]).str().is_err(),
+            "UTF-8 checked"
+        );
     }
 }

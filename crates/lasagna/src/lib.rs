@@ -19,7 +19,8 @@ pub use fs::{
     batch_txn_id, batch_txn_parts, ino_attribute, Lasagna, LasagnaConfig, LasagnaStats, PASS_DIR,
 };
 pub use log::{
-    crc32, encode_entry, encode_group, entry_size, group_count, parse_log, LogEntry, LogTail,
+    crc32, encode_entry, encode_group, entry_size, group_count, parse_log, put_frame, walk_frames,
+    LogEntry, LogTail,
 };
 pub use md5::{md5, Digest};
 pub use recovery::{recover, Inconsistency, InconsistencyReason, RecoveryReport};

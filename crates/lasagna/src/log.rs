@@ -15,9 +15,13 @@
 //! The CRC covers the kind byte and the payload. A truncated or
 //! corrupt tail terminates parsing and is reported to the recovery
 //! machinery instead of being silently ignored.
+//!
+//! The same CRC-closed framing, with an empty head instead of the kind
+//! byte, carries Waldo's database WAL; [`put_frame`] and
+//! [`walk_frames`] are the one encoder and the one walker for both.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use dpapi::wire;
+use bytes::{BufMut, BytesMut};
+use dpapi::wire::{self, Reader};
 use dpapi::{DpapiError, ObjectRef, ProvenanceRecord, Result};
 
 use crate::md5::Digest;
@@ -69,6 +73,12 @@ pub enum LogEntry {
 
 /// CRC-32 (IEEE 802.3), table-driven.
 pub fn crc32(data: &[u8]) -> u32 {
+    crc32_parts(&[data])
+}
+
+/// CRC-32 of the concatenation of `parts`, computed incrementally so
+/// a frame's head and payload need not be copied into one buffer.
+fn crc32_parts(parts: &[&[u8]]) -> u32 {
     static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
     let table = TABLE.get_or_init(|| {
         let mut t = [0u32; 256];
@@ -86,31 +96,61 @@ pub fn crc32(data: &[u8]) -> u32 {
         t
     });
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    for part in parts {
+        for &b in *part {
+            crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
     }
     !crc
 }
 
-/// Writes one CRC-closed frame (`kind`, length, payload, CRC32).
-/// Errors — writing nothing — on a payload the `u32` length prefix
-/// cannot represent (the same silent-truncation class as the fixed
-/// `u16` attribute-name bug, one level up).
-fn put_frame(buf: &mut BytesMut, kind: u8, payload: &[u8]) -> Result<()> {
+/// Writes one CRC-closed frame: `head`, `len u32le`, payload,
+/// `crc32(head ‖ payload) u32le`. Errors — writing nothing — on a
+/// payload the `u32` length prefix cannot represent (the same
+/// silent-truncation class as the fixed `u16` attribute-name bug, one
+/// level up).
+pub fn put_frame(buf: &mut impl BufMut, head: &[u8], payload: &[u8]) -> Result<()> {
     if payload.len() > u32::MAX as usize {
         return Err(DpapiError::Malformed(format!(
-            "log frame payload of {} bytes exceeds the u32 prefix",
+            "frame payload of {} bytes exceeds the u32 prefix",
             payload.len()
         )));
     }
-    buf.put_u8(kind);
+    buf.put_slice(head);
     buf.put_u32_le(payload.len() as u32);
-    let mut crc_input = Vec::with_capacity(1 + payload.len());
-    crc_input.push(kind);
-    crc_input.extend_from_slice(payload);
     buf.put_slice(payload);
-    buf.put_u32_le(crc32(&crc_input));
+    buf.put_u32_le(crc32_parts(&[head, payload]));
     Ok(())
+}
+
+/// Walks the frames [`put_frame`] writes with an `H`-byte head,
+/// handing each CRC-valid frame's head and payload to `visit`.
+///
+/// Walking stops at the first frame that is incomplete
+/// ([`LogTail::Truncated`]), fails its CRC, or is rejected by `visit`
+/// ([`LogTail::Corrupt`]), reporting that frame's offset; a walk that
+/// reaches the end of `data` on a frame boundary is
+/// [`LogTail::Clean`].
+pub fn walk_frames<const H: usize>(
+    data: &[u8],
+    mut visit: impl FnMut([u8; H], &[u8]) -> Result<()>,
+) -> LogTail {
+    let mut r = Reader::new(data);
+    while !r.is_empty() {
+        let at = r.position();
+        let mut frame = || -> Result<_> {
+            let head = r.array::<H>()?;
+            let len = r.u32()? as usize;
+            Ok((head, r.bytes(len)?, r.u32()?))
+        };
+        let Ok((head, payload, stored)) = frame() else {
+            return LogTail::Truncated { at };
+        };
+        if crc32_parts(&[&head, payload]) != stored || visit(head, payload).is_err() {
+            return LogTail::Corrupt { at };
+        }
+    }
+    LogTail::Clean
 }
 
 /// Appends `entry` to `buf` in wire framing.
@@ -147,7 +187,7 @@ pub fn encode_entry(buf: &mut BytesMut, entry: &LogEntry) -> Result<()> {
             KIND_TXN_END
         }
     };
-    put_frame(buf, kind, &payload)
+    put_frame(buf, &[kind], &payload)
 }
 
 /// Appends `entries` to `buf` as one *group frame*: a single
@@ -164,7 +204,7 @@ pub fn encode_group(buf: &mut BytesMut, entries: &[LogEntry]) -> Result<()> {
     for e in entries {
         encode_entry(&mut payload, e)?;
     }
-    put_frame(buf, KIND_GROUP, &payload)
+    put_frame(buf, &[KIND_GROUP], &payload)
 }
 
 /// Serialized size of an entry (header + payload + CRC). Errors on
@@ -175,40 +215,34 @@ pub fn entry_size(entry: &LogEntry) -> Result<usize> {
     Ok(buf.len())
 }
 
-/// Number of group frames in a log image (tests and diagnostics; the
-/// parser itself flattens groups into their members).
+/// Number of group frames in a log image before its first torn or
+/// corrupt frame (tests and diagnostics; the parser itself flattens
+/// groups into their members).
 pub fn group_count(data: &[u8]) -> usize {
     let mut n = 0usize;
-    let mut at = 0usize;
-    while data.len() - at >= 5 {
-        let kind = data[at];
-        let len =
-            u32::from_le_bytes([data[at + 1], data[at + 2], data[at + 3], data[at + 4]]) as usize;
-        if data.len() - at < 5 + len + 4 {
-            break;
-        }
-        if kind == KIND_GROUP {
-            n += 1;
-        }
-        at += 5 + len + 4;
-    }
+    walk_frames(data, |[kind], _| {
+        n += usize::from(kind == KIND_GROUP);
+        Ok(())
+    });
     n
 }
 
-/// How parsing of a log image ended.
+/// How parsing of a framed image ended — a Lasagna log or a Waldo
+/// database WAL ([`walk_frames`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LogTail {
-    /// The log ended exactly at an entry boundary.
+    /// The image ended exactly at a frame boundary.
     Clean,
-    /// The log ended mid-entry at the given byte offset — the classic
-    /// crash-while-appending signature.
+    /// The image ended mid-frame at the given byte offset — the
+    /// classic crash-while-appending signature.
     Truncated {
-        /// Offset of the first incomplete byte run.
+        /// Offset of the first incomplete frame.
         at: usize,
     },
-    /// An entry failed its CRC at the given byte offset.
+    /// The frame at the given byte offset failed its CRC, or its
+    /// payload did not decode.
     Corrupt {
-        /// Offset of the corrupt entry.
+        /// Offset of the corrupt frame.
         at: usize,
     },
 }
@@ -230,97 +264,43 @@ pub fn parse_log(data: &[u8]) -> (Vec<LogEntry>, LogTail) {
 /// unbounded parser recursion.
 fn parse_frames(data: &[u8], inside_group: bool) -> (Vec<LogEntry>, LogTail) {
     let mut entries = Vec::new();
-    let mut at = 0usize;
-    while at < data.len() {
-        let remaining = data.len() - at;
-        if remaining < 5 {
-            return (entries, LogTail::Truncated { at });
-        }
-        let kind = data[at];
-        let len =
-            u32::from_le_bytes([data[at + 1], data[at + 2], data[at + 3], data[at + 4]]) as usize;
-        if remaining < 5 + len + 4 {
-            return (entries, LogTail::Truncated { at });
-        }
-        let payload = &data[at + 5..at + 5 + len];
-        let stored_crc = u32::from_le_bytes([
-            data[at + 5 + len],
-            data[at + 5 + len + 1],
-            data[at + 5 + len + 2],
-            data[at + 5 + len + 3],
-        ]);
-        let mut crc_input = Vec::with_capacity(1 + len);
-        crc_input.push(kind);
-        crc_input.extend_from_slice(payload);
-        if crc32(&crc_input) != stored_crc {
-            return (entries, LogTail::Corrupt { at });
-        }
-        match decode_payload(kind, payload, inside_group, &mut entries) {
-            Ok(()) => {}
-            Err(_) => return (entries, LogTail::Corrupt { at }),
-        }
-        at += 5 + len + 4;
-    }
-    (entries, LogTail::Clean)
+    let tail = walk_frames(data, |[kind], payload| {
+        decode_payload(kind, payload, inside_group, &mut entries)
+    });
+    (entries, tail)
 }
 
 /// Decodes one frame's payload, pushing its entry (or, for a group,
 /// every member entry) onto `out`. On error nothing is pushed and the
-/// caller reports corruption at the frame's offset.
+/// walker reports corruption at the frame's offset.
 fn decode_payload(
     kind: u8,
     payload: &[u8],
     inside_group: bool,
     out: &mut Vec<LogEntry>,
 ) -> Result<()> {
-    let mut buf = Bytes::copy_from_slice(payload);
-    match kind {
-        KIND_PROV => {
-            let subject = wire::get_object_ref(&mut buf)?;
-            let record = wire::get_record(&mut buf)?;
-            out.push(LogEntry::Prov { subject, record });
-        }
-        KIND_DATA => {
-            let subject = wire::get_object_ref(&mut buf)?;
-            if buf.remaining() < 8 + 4 + 16 {
-                return Err(DpapiError::Malformed("short data-write entry".into()));
-            }
-            let offset = buf.get_u64_le();
-            let len = buf.get_u32_le();
-            let mut digest = [0u8; 16];
-            digest.copy_from_slice(&buf.split_to(16));
-            out.push(LogEntry::DataWrite {
-                subject,
-                offset,
-                len,
-                digest,
-            });
-        }
-        KIND_TXN_BEGIN => {
-            if buf.remaining() < 8 {
-                return Err(DpapiError::Malformed("short txn-begin".into()));
-            }
-            out.push(LogEntry::TxnBegin {
-                id: buf.get_u64_le(),
-            });
-        }
-        KIND_TXN_END => {
-            if buf.remaining() < 8 {
-                return Err(DpapiError::Malformed("short txn-end".into()));
-            }
-            out.push(LogEntry::TxnEnd {
-                id: buf.get_u64_le(),
-            });
-        }
+    let mut r = Reader::new(payload);
+    let entry = match kind {
+        KIND_PROV => LogEntry::Prov {
+            subject: wire::get_object_ref(&mut r)?,
+            record: wire::get_record(&mut r)?,
+        },
+        KIND_DATA => LogEntry::DataWrite {
+            subject: wire::get_object_ref(&mut r)?,
+            offset: r.u64()?,
+            len: r.u32()?,
+            digest: r.array()?,
+        },
+        KIND_TXN_BEGIN => LogEntry::TxnBegin { id: r.u64()? },
+        KIND_TXN_END => LogEntry::TxnEnd { id: r.u64()? },
         KIND_GROUP => {
             if inside_group {
                 return Err(DpapiError::Malformed("nested group frame".into()));
             }
-            if buf.remaining() < 4 {
-                return Err(DpapiError::Malformed("short group header".into()));
-            }
-            let n = buf.get_u32_le() as usize;
-            let (members, tail) = parse_frames(&buf, true);
+            // Each member is a whole frame: at least a head, a length
+            // and a CRC.
+            let n = r.count(1 + 4 + 4)?;
+            let (members, tail) = parse_frames(&payload[r.position()..], true);
             if tail != LogTail::Clean || members.len() != n {
                 return Err(DpapiError::Malformed(format!(
                     "group of {n} entries parsed to {} with tail {tail:?}",
@@ -328,9 +308,12 @@ fn decode_payload(
                 )));
             }
             out.extend(members);
+            return Ok(());
         }
         other => return Err(DpapiError::Malformed(format!("unknown log kind {other}"))),
-    }
+    };
+    r.finish()?;
+    out.push(entry);
     Ok(())
 }
 
@@ -425,7 +408,7 @@ mod tests {
             encode_entry(&mut payload, e).unwrap();
         }
         let mut buf = BytesMut::new();
-        super::put_frame(&mut buf, 5, &payload).unwrap();
+        super::put_frame(&mut buf, &[5], &payload).unwrap();
         let (parsed, tail) = parse_log(&buf);
         assert!(parsed.is_empty());
         assert_eq!(tail, LogTail::Corrupt { at: 0 });
@@ -441,7 +424,7 @@ mod tests {
         payload.put_u32_le(1);
         payload.put_slice(&inner);
         let mut buf = BytesMut::new();
-        super::put_frame(&mut buf, 5, &payload).unwrap();
+        super::put_frame(&mut buf, &[5], &payload).unwrap();
         let (parsed, tail) = parse_log(&buf);
         assert!(parsed.is_empty());
         assert_eq!(tail, LogTail::Corrupt { at: 0 });

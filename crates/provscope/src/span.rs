@@ -87,7 +87,7 @@
 //! deterministic even under threading (the verdict is a pure function
 //! of the trace id), though ring ordering may interleave.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{btree_map, BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 
@@ -455,6 +455,11 @@ struct Inner {
     windows: HashMap<ThreadId, Window>,
     /// Trace id → the root span detached work should link under.
     roots: BTreeMap<u64, SpanId>,
+    /// Root span id → the trace ids registered on it in `roots` (more
+    /// than one when a multi-volume transaction binds several batch
+    /// ids), so dropping a tree removes its registrations without
+    /// scanning every root.
+    root_keys: BTreeMap<u64, Vec<u64>>,
     next_synthetic: u64,
     /// Retention state: live trees and the completed-tree rings.
     recorder: Recorder,
@@ -479,17 +484,24 @@ impl Inner {
         self.high_water = self.high_water.max(self.spans.len() as u64);
     }
 
+    /// Registers `root` as the span detached work of `trace` links
+    /// under, unless `trace` already has one.
+    fn register_root(&mut self, trace: u64, root: SpanId) {
+        if let btree_map::Entry::Vacant(e) = self.roots.entry(trace) {
+            e.insert(root);
+            self.root_keys.entry(root.0).or_default().push(trace);
+        }
+    }
+
     /// Removes evicted/dropped spans and every root registration
     /// (including multi-bind aliases) that points at them.
     fn drop_spans(&mut self, ids: &[u64]) {
-        if ids.is_empty() {
-            return;
-        }
-        let set: BTreeSet<u64> = ids.iter().copied().collect();
         for id in ids {
             self.spans.remove(id);
+            for trace in self.root_keys.remove(id).unwrap_or_default() {
+                self.roots.remove(&trace);
+            }
         }
-        self.roots.retain(|_, sid| !set.contains(&sid.0));
     }
 
     /// Makes room for one new span. Returns `false` (shed) when the
@@ -564,7 +576,7 @@ impl Inner {
         } else if !w.pending.is_empty() {
             self.next_synthetic += 1;
             let trace = TraceId(TraceId::SYNTHETIC_BIT | self.next_synthetic);
-            self.roots.insert(trace.0, w.pending[0]);
+            self.register_root(trace.0, w.pending[0]);
             for &id in &w.pending {
                 self.span_mut(id).trace = Some(trace);
             }
@@ -611,6 +623,7 @@ impl Scope {
             high_water: 0,
             windows: HashMap::new(),
             roots: BTreeMap::new(),
+            root_keys: BTreeMap::new(),
             next_synthetic: 0,
             recorder: Recorder::new(cfg),
         }))))
@@ -619,12 +632,6 @@ impl Scope {
     /// True when spans are being recorded.
     pub fn is_enabled(&self) -> bool {
         self.0.is_some()
-    }
-
-    /// The flight-recorder configuration (`None` when the scope is
-    /// disabled).
-    pub fn recorder_config(&self) -> Option<RecorderConfig> {
-        Some(self.0.as_ref()?.lock().unwrap().recorder.cfg)
     }
 
     /// Flight-recorder counters (all zero when the scope is disabled).
@@ -763,7 +770,7 @@ impl Scope {
             end_ns: None,
         });
         if parent.is_none() {
-            g.roots.entry(trace.0).or_insert(id);
+            g.register_root(trace.0, id);
         }
         g.tree_add(t.0, id.0, true);
         SpanHandle(Some(id))
@@ -825,7 +832,7 @@ impl Scope {
                 g.tree_add(trace.0, id.0, open);
             }
         }
-        g.roots.entry(trace.0).or_insert(root);
+        g.register_root(trace.0, root);
     }
 
     /// The trace context at the current point of execution on the
@@ -879,6 +886,7 @@ impl Scope {
             g.high_water = 0;
             g.windows.clear();
             g.roots.clear();
+            g.root_keys.clear();
             g.next_synthetic = 0;
             g.recorder = Recorder::new(g.recorder.cfg);
         }
@@ -1108,7 +1116,6 @@ mod tests {
         assert!(!s.is_enabled());
         assert_eq!(s.recorder_stats(), RecorderStats::default());
         assert!(s.slow_traces().is_empty());
-        assert!(s.recorder_config().is_none());
     }
 
     #[test]
@@ -1554,6 +1561,51 @@ mod tests {
         let b = s.open("kernel", "y");
         s.close(b);
         assert_eq!(s.snapshot().spans[0].id, SpanId(1));
-        assert_eq!(s.recorder_config().unwrap().capacity, 2);
+        // The capacity survives the clear.
+        for _ in 0..2 {
+            let c = s.open("kernel", "z");
+            s.close(c);
+        }
+        assert_eq!(s.recorder_stats().trees_evicted, 1);
+    }
+
+    /// Evicting a tree drops its root registrations — the second
+    /// batch id a multi-volume commit binds onto the same root
+    /// included — and leaves every retained tree's untouched.
+    #[test]
+    fn eviction_drops_exactly_the_evicted_trees_roots() {
+        let s = ticking(RecorderConfig {
+            capacity: 4,
+            ..RecorderConfig::default()
+        });
+        let batch = |i: u64| TraceId((1 << 63) | i);
+        let alias = |i: u64| TraceId((1 << 63) | (1000 + i));
+        for i in 0..10 {
+            let h = s.open("kernel", "pass_commit");
+            s.bind_trace(batch(i));
+            s.bind_trace(alias(i));
+            s.close(h);
+        }
+        assert_eq!(s.recorder_stats().trees_evicted, 6);
+        {
+            let g = s.0.as_ref().unwrap().lock().unwrap();
+            for i in 0..10 {
+                let live = i >= 6;
+                assert_eq!(g.roots.contains_key(&batch(i).0), live, "batch {i}");
+                assert_eq!(g.roots.contains_key(&alias(i).0), live, "alias {i}");
+            }
+            assert_eq!(g.roots.len(), 8);
+            assert!(g.roots.values().all(|r| g.spans.contains_key(&r.0)));
+            assert_eq!(g.root_keys.len(), 4);
+        }
+        // Detached work of an evicted trace starts a fragment tree; a
+        // retained trace's alias still links under its root.
+        let orphan = s.open_linked("waldo", "ingest", alias(0));
+        let linked = s.open_linked("waldo", "ingest", alias(9));
+        let spans = s.snapshot().spans;
+        let find = |h: SpanHandle| spans.iter().find(|sp| Some(sp.id) == h.0).unwrap();
+        assert_eq!(find(orphan).parent, None);
+        assert!(find(linked).parent.is_some());
+        assert_eq!(find(linked).trace, Some(batch(9)));
     }
 }

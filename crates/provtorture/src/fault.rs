@@ -267,7 +267,7 @@ impl Fault {
                     return None;
                 }
                 let cut = mid_frame_cut(&data, rng, |prefix| {
-                    waldo::wal::parse_wal(prefix).1 != waldo::wal::WalTail::Clean
+                    waldo::wal::parse_wal(prefix).1 != lasagna::LogTail::Clean
                 })?;
                 kernel.write_file(pid, &path, &data[..cut]).ok()?;
                 Some(format!("truncated {path} at byte {cut} of {}", data.len()))

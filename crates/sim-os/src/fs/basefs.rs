@@ -13,7 +13,7 @@ use crate::clock::Clock;
 use crate::cost::{CostModel, BLOCK_SIZE};
 use crate::disk::{Disk, DiskStats};
 use crate::fs::{DirEntry, FileAttr, FileSystem, FileType, FsError, FsResult, FsUsage, Ino};
-use crate::lru::{CacheOutcome, LruSet};
+use crate::lru::LruMap;
 
 /// Journal batching: commit after this many pending metadata ops.
 const JOURNAL_BATCH: u32 = 64;
@@ -64,7 +64,7 @@ pub struct BaseFs {
     journal_at: u64,
     pending_journal: u32,
     page_blocks: HashMap<PageKey, u64>,
-    cache: LruSet<PageKey>,
+    cache: LruMap<PageKey, ()>,
     dirty: HashSet<PageKey>,
     data_bytes: u64,
     prev_sizes: HashMap<u64, u64>,
@@ -102,7 +102,7 @@ impl BaseFs {
             journal_at: journal_start,
             pending_journal: 0,
             page_blocks: HashMap::new(),
-            cache: LruSet::new(cfg.cache_pages),
+            cache: LruMap::new(cfg.cache_pages),
             dirty: HashSet::new(),
             data_bytes: 0,
             prev_sizes: HashMap::new(),
@@ -220,18 +220,17 @@ impl BaseFs {
         if dirty {
             self.dirty.insert(key);
         }
-        match self.cache.touch(key, false) {
-            CacheOutcome::Hit => true,
-            CacheOutcome::Miss => false,
-            CacheOutcome::Evicted(victim, _) => {
-                if self.dirty.remove(&victim) {
-                    if let Some(block) = self.page_blocks.get(&victim).copied() {
-                        self.disk.access(block, 1, true);
-                    }
+        if self.cache.get(&key).is_some() {
+            return true;
+        }
+        if let Some((victim, ())) = self.cache.insert(key, ()) {
+            if self.dirty.remove(&victim) {
+                if let Some(block) = self.page_blocks.get(&victim).copied() {
+                    self.disk.access(block, 1, true);
                 }
-                false
             }
         }
+        false
     }
 
     fn forget_file_pages(&mut self, ino: Ino, from_page: u64) {

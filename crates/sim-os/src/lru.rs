@@ -1,49 +1,38 @@
-//! A compact O(1) LRU set used for page-cache accounting.
+//! A compact O(1) LRU map: a doubly-linked list over a `Vec` of slots
+//! with a free list, indexed by a `HashMap`.
 //!
-//! The simulator does not store page *contents* in the cache (file
-//! data lives in the inodes for correctness); the cache tracks which
-//! pages are resident so reads can be classified as hits or misses
-//! and evictions of dirty pages can be charged as writebacks.
+//! Two caches share it. The simulator's page cache
+//! (`LruMap<PageKey, ()>`) tracks which pages are resident so reads
+//! can be classified as hits or misses and evicted dirty pages charged
+//! as writebacks — page *contents* live in the inodes. Waldo's query
+//! caches carry memoized traversal results as values.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 
 const NIL: usize = usize::MAX;
 
-struct Node<K> {
+struct Node<K, V> {
     key: K,
+    value: V,
     prev: usize,
     next: usize,
-    dirty: bool,
 }
 
-/// An LRU set with a dirty bit per entry.
-pub struct LruSet<K: Eq + Hash + Clone> {
+/// An LRU map holding at most `capacity` entries.
+pub struct LruMap<K: Eq + Hash + Clone, V> {
     map: HashMap<K, usize>,
-    nodes: Vec<Node<K>>,
+    nodes: Vec<Node<K, V>>,
     free: Vec<usize>,
     head: usize, // most recently used
     tail: usize, // least recently used
     capacity: usize,
 }
 
-/// What happened when an entry was inserted or touched.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CacheOutcome<K> {
-    /// The key was already resident.
-    Hit,
-    /// The key was inserted without evicting anything.
-    Miss,
-    /// The key was inserted and the returned key was evicted; the
-    /// boolean reports whether the victim was dirty (requiring
-    /// writeback).
-    Evicted(K, bool),
-}
-
-impl<K: Eq + Hash + Clone> LruSet<K> {
-    /// Creates an LRU set holding at most `capacity` entries.
+impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
+    /// Creates a map holding at most `capacity` entries (at least 1).
     pub fn new(capacity: usize) -> Self {
-        LruSet {
+        LruMap {
             map: HashMap::new(),
             nodes: Vec::new(),
             free: Vec::new(),
@@ -94,74 +83,64 @@ impl<K: Eq + Hash + Clone> LruSet<K> {
         }
     }
 
-    /// Touches `key`, inserting it if absent. `dirty` is OR-ed into
-    /// the entry's dirty bit. Returns what happened, including any
-    /// eviction this insertion forced.
-    pub fn touch(&mut self, key: K, dirty: bool) -> CacheOutcome<K> {
+    /// Looks `key` up, marking it most recently used on a hit.
+    pub fn get(&mut self, key: &K) -> Option<&V> {
+        let idx = *self.map.get(key)?;
+        self.detach(idx);
+        self.attach_front(idx);
+        Some(&self.nodes[idx].value)
+    }
+
+    /// Inserts or replaces `key` as the most recently used entry. If
+    /// the map was full, the least recently used entry is evicted and
+    /// returned.
+    pub fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
         if let Some(&idx) = self.map.get(&key) {
+            self.nodes[idx].value = value;
             self.detach(idx);
             self.attach_front(idx);
-            self.nodes[idx].dirty |= dirty;
-            return CacheOutcome::Hit;
+            return None;
         }
-        let mut outcome = CacheOutcome::Miss;
-        if self.map.len() >= self.capacity {
+        let evicting = self.map.len() >= self.capacity;
+        if evicting {
             let victim = self.tail;
             debug_assert_ne!(victim, NIL);
             self.detach(victim);
-            let vkey = self.nodes[victim].key.clone();
-            let vdirty = self.nodes[victim].dirty;
-            self.map.remove(&vkey);
+            self.map.remove(&self.nodes[victim].key);
             self.free.push(victim);
-            outcome = CacheOutcome::Evicted(vkey, vdirty);
         }
-        let idx = if let Some(idx) = self.free.pop() {
-            self.nodes[idx] = Node {
-                key: key.clone(),
-                prev: NIL,
-                next: NIL,
-                dirty,
-            };
-            idx
-        } else {
-            self.nodes.push(Node {
-                key: key.clone(),
-                prev: NIL,
-                next: NIL,
-                dirty,
-            });
-            self.nodes.len() - 1
+        let node = Node {
+            key: key.clone(),
+            value,
+            prev: NIL,
+            next: NIL,
+        };
+        // An eviction pushed its victim's slot last, so it is the slot
+        // reused here.
+        let (idx, evicted) = match self.free.pop() {
+            Some(idx) => {
+                let old = std::mem::replace(&mut self.nodes[idx], node);
+                (idx, evicting.then_some((old.key, old.value)))
+            }
+            None => {
+                self.nodes.push(node);
+                (self.nodes.len() - 1, None)
+            }
         };
         self.map.insert(key, idx);
         self.attach_front(idx);
-        outcome
+        evicted
     }
 
-    /// Removes `key` if resident, returning its dirty bit.
-    pub fn remove(&mut self, key: &K) -> Option<bool> {
+    /// Removes `key` if resident.
+    pub fn remove(&mut self, key: &K) -> Option<V>
+    where
+        V: Default,
+    {
         let idx = self.map.remove(key)?;
         self.detach(idx);
         self.free.push(idx);
-        Some(self.nodes[idx].dirty)
-    }
-
-    /// Clears the dirty bit of `key` (after writeback).
-    pub fn mark_clean(&mut self, key: &K) {
-        if let Some(&idx) = self.map.get(key) {
-            self.nodes[idx].dirty = false;
-        }
-    }
-
-    /// Returns all dirty keys (unordered) and marks them clean.
-    pub fn take_dirty(&mut self) -> Vec<K> {
-        let mut out = Vec::new();
-        for node in &mut self.nodes {
-            if node.dirty && self.map.contains_key(&node.key) {
-                node.dirty = false;
-                out.push(node.key.clone());
-            }
-        }
-        out
+        Some(std::mem::take(&mut self.nodes[idx].value))
     }
 }
 
@@ -170,70 +149,61 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hit_miss_and_eviction_order() {
-        let mut lru = LruSet::new(2);
-        assert_eq!(lru.touch(1, false), CacheOutcome::Miss);
-        assert_eq!(lru.touch(2, false), CacheOutcome::Miss);
-        assert_eq!(lru.touch(1, false), CacheOutcome::Hit);
-        // 2 is now least recently used and gets evicted.
-        assert_eq!(lru.touch(3, false), CacheOutcome::Evicted(2, false));
-        assert!(lru.contains(&1));
-        assert!(lru.contains(&3));
-        assert!(!lru.contains(&2));
+    fn evicts_in_recency_order() {
+        let mut m: LruMap<u32, &str> = LruMap::new(2);
+        assert_eq!(m.insert(1, "a"), None);
+        assert_eq!(m.insert(2, "b"), None);
+        assert_eq!(m.get(&1), Some(&"a")); // 2 becomes LRU
+        assert_eq!(m.insert(3, "c"), Some((2, "b")));
+        assert_eq!(m.get(&2), None);
+        assert_eq!(m.get(&1), Some(&"a"));
+        assert_eq!(m.get(&3), Some(&"c"));
+        assert!(m.contains(&1) && !m.contains(&2));
+        assert_eq!(m.len(), 2);
     }
 
     #[test]
-    fn dirty_bit_survives_touches_and_reports_on_eviction() {
-        let mut lru = LruSet::new(1);
-        lru.touch(7, true);
-        lru.touch(7, false); // does not clear dirty
-        match lru.touch(8, false) {
-            CacheOutcome::Evicted(7, true) => {}
-            other => panic!("expected dirty eviction, got {other:?}"),
-        }
+    fn replacing_a_key_promotes_it_and_evicts_nothing() {
+        let mut m: LruMap<u32, u32> = LruMap::new(2);
+        m.insert(1, 10);
+        m.insert(2, 20);
+        assert_eq!(m.insert(1, 11), None); // 2 becomes LRU
+        assert_eq!(m.insert(3, 30), Some((2, 20)));
+        assert_eq!(m.get(&1), Some(&11));
     }
 
     #[test]
-    fn mark_clean_and_take_dirty() {
-        let mut lru = LruSet::new(4);
-        lru.touch("a", true);
-        lru.touch("b", true);
-        lru.touch("c", false);
-        lru.mark_clean(&"a");
-        let mut dirty = lru.take_dirty();
-        dirty.sort();
-        assert_eq!(dirty, vec!["b"]);
-        assert!(lru.take_dirty().is_empty());
+    fn remove_frees_a_slot_without_reporting_an_eviction() {
+        let mut m: LruMap<u32, u32> = LruMap::new(2);
+        m.insert(1, 10);
+        m.insert(2, 20);
+        assert_eq!(m.remove(&1), Some(10));
+        assert_eq!(m.remove(&3), None);
+        assert_eq!(m.insert(3, 30), None, "the freed slot is reused");
+        assert_eq!(m.insert(4, 40), Some((2, 20)));
+        assert_eq!(m.len(), 2);
+        assert_eq!(m.remove(&3), Some(30));
+        assert_eq!(m.remove(&4), Some(40));
+        assert!(m.is_empty());
     }
 
     #[test]
-    fn remove_returns_dirty_state() {
-        let mut lru = LruSet::new(4);
-        lru.touch(1, true);
-        lru.touch(2, false);
-        assert_eq!(lru.remove(&1), Some(true));
-        assert_eq!(lru.remove(&2), Some(false));
-        assert_eq!(lru.remove(&3), None);
-        assert!(lru.is_empty());
-    }
-
-    #[test]
-    fn reuses_slots_after_removal() {
-        let mut lru = LruSet::new(2);
+    fn reuses_slots() {
+        let mut m: LruMap<u32, u32> = LruMap::new(2);
         for i in 0..100 {
-            lru.touch(i, i % 2 == 0);
+            m.insert(i, i);
         }
-        assert_eq!(lru.len(), 2);
-        // Internal node storage should not have grown unboundedly.
-        assert!(lru.nodes.len() <= 3);
+        assert_eq!(m.len(), 2);
+        // Internal node storage does not grow past the capacity.
+        assert!(m.nodes.len() <= 2);
     }
 
     #[test]
     fn capacity_one_always_evicts_previous() {
-        let mut lru = LruSet::new(1);
-        lru.touch(1, false);
-        assert_eq!(lru.touch(2, false), CacheOutcome::Evicted(1, false));
-        assert_eq!(lru.touch(3, false), CacheOutcome::Evicted(2, false));
-        assert_eq!(lru.len(), 1);
+        let mut m: LruMap<u32, ()> = LruMap::new(1);
+        m.insert(1, ());
+        assert_eq!(m.insert(2, ()), Some((1, ())));
+        assert_eq!(m.insert(3, ()), Some((2, ())));
+        assert_eq!(m.len(), 1);
     }
 }

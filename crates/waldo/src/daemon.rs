@@ -429,7 +429,7 @@ impl Waldo {
         let wal_data = kernel.read_file(pid, &wal).unwrap_or_default();
         let (frames, wal_tail) = crate::wal::parse_wal(&wal_data);
         report.wal_frames = frames.len() as u64;
-        report.wal_tail_torn = wal_tail != crate::wal::WalTail::Clean;
+        report.wal_tail_torn = wal_tail != lasagna::LogTail::Clean;
         let base = report.loaded_seq.unwrap_or(0);
         report.wal_frames_beyond_checkpoint = frames.iter().filter(|f| f.seq > base).count() as u64;
         // Reset the WAL before reattaching: frames at or below the
@@ -498,7 +498,7 @@ impl Waldo {
         let wal_data = kernel.read_file(self.pid, &wal).unwrap_or_default();
         if !wal_data.is_empty() {
             let (frames, tail) = crate::wal::parse_wal(&wal_data);
-            if tail != crate::wal::WalTail::Clean || frames.iter().any(|f| f.seq > seq_now) {
+            if tail != lasagna::LogTail::Clean || frames.iter().any(|f| f.seq > seq_now) {
                 checkpoint::reset_wal_temp(kernel, self.pid, &wal)?;
                 checkpoint::rename_wal(kernel, self.pid, &wal)?;
             }

@@ -86,12 +86,16 @@ pub mod cluster;
 pub mod contention;
 pub mod daemon;
 pub mod db;
+pub(crate) mod envelope;
 pub mod graph;
 pub(crate) mod manifest;
 pub(crate) mod segment;
 pub(crate) mod shard;
 pub mod store;
 pub mod wal;
+
+#[cfg(test)]
+mod codec_tests;
 
 pub use cache::CacheStats;
 pub use checkpoint::{CheckpointCrash, CheckpointStats, RestartReport};

@@ -27,13 +27,21 @@
 //! not at all, and a torn image fails its CRC and is skipped in favor
 //! of the previous complete checkpoint.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
+use dpapi::wire::{self, Reader};
 use dpapi::{DpapiError, Result};
-use lasagna::{crc32, parse_log, LogEntry, LogTail};
+use lasagna::{parse_log, LogEntry, LogTail};
 
-const MAGIC: &[u8; 4] = b"WMAN";
+use crate::envelope::Envelope;
+
 /// The manifest format version, the only one the decoder accepts.
 pub const MANIFEST_VERSION: u16 = 3;
+
+const MANIFEST: Envelope = Envelope {
+    magic: *b"WMAN",
+    version: MANIFEST_VERSION,
+    what: "manifest",
+};
 
 /// One shard's segment as the manifest records it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -77,9 +85,7 @@ pub(crate) struct Manifest {
 
 /// Serializes a manifest.
 pub(crate) fn encode_manifest(m: &Manifest) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(256);
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(MANIFEST_VERSION);
+    let mut buf = MANIFEST.start(256);
     buf.put_u64_le(m.seq);
     buf.put_u32_le(m.segments.len() as u32);
     for seg in &m.segments {
@@ -87,16 +93,7 @@ pub(crate) fn encode_manifest(m: &Manifest) -> Vec<u8> {
         buf.put_u64_le(seg.len);
         buf.put_u32_le(seg.crc);
     }
-    match m.commit_txn {
-        Some(id) => {
-            buf.put_u8(1);
-            buf.put_u64_le(id);
-        }
-        None => {
-            buf.put_u8(0);
-            buf.put_u64_le(0);
-        }
-    }
+    put_flagged(&mut buf, m.commit_txn);
     buf.put_u32_le(m.txns.len() as u32);
     for (id, entries) in &m.txns {
         buf.put_u64_le(*id);
@@ -113,8 +110,7 @@ pub(crate) fn encode_manifest(m: &Manifest) -> Vec<u8> {
     }
     buf.put_u32_le(m.sources.len() as u32);
     for (path, mark) in &m.sources {
-        buf.put_u32_le(path.len() as u32);
-        buf.put_slice(path.as_bytes());
+        wire::put_str(&mut buf, path);
         buf.put_u64_le(*mark);
     }
     buf.put_u32_le(m.batch_hw.len() as u32);
@@ -122,117 +118,54 @@ pub(crate) fn encode_manifest(m: &Manifest) -> Vec<u8> {
         buf.put_u32_le(*volume);
         buf.put_u64_le(*seq);
     }
-    match m.replay_skip {
-        Some(id) => {
-            buf.put_u8(1);
-            buf.put_u64_le(id);
-        }
-        None => {
-            buf.put_u8(0);
-            buf.put_u64_le(0);
-        }
-    }
-    let crc = crc32(&buf);
-    buf.put_u32_le(crc);
-    buf.to_vec()
+    put_flagged(&mut buf, m.replay_skip);
+    Envelope::seal(buf)
 }
 
-fn need(buf: &Bytes, n: usize, what: &str) -> Result<()> {
-    if buf.remaining() < n {
-        return Err(DpapiError::Malformed(format!("truncated {what}")));
-    }
-    Ok(())
+/// An optional id as `(u8 flag, u64)`.
+fn put_flagged(buf: &mut BytesMut, id: Option<u64>) {
+    buf.put_u8(u8::from(id.is_some()));
+    buf.put_u64_le(id.unwrap_or(0));
+}
+
+fn get_flagged(r: &mut Reader<'_>) -> Result<Option<u64>> {
+    let flag = r.u8()?;
+    let id = r.u64()?;
+    Ok((flag != 0).then_some(id))
 }
 
 /// Deserializes a manifest, validating magic, version and CRC.
 pub(crate) fn decode_manifest(data: &[u8]) -> Result<Manifest> {
-    if data.len() < 4 + 2 + 8 + 4 + 4 {
-        return Err(DpapiError::Malformed("manifest too short".into()));
-    }
-    let (body, crc_bytes) = data.split_at(data.len() - 4);
-    let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-    if crc32(body) != stored {
-        return Err(DpapiError::Malformed("manifest CRC mismatch".into()));
-    }
-    let mut buf = Bytes::copy_from_slice(body);
-    if buf.split_to(4).as_ref() != MAGIC {
-        return Err(DpapiError::Malformed("bad manifest magic".into()));
-    }
-    let version = buf.get_u16_le();
-    if version != MANIFEST_VERSION {
+    let mut r = MANIFEST.open(data)?;
+    let seq = r.u64()?;
+    let segments = r.list(8 + 8 + 4, |r| {
+        Ok(SegmentRef {
+            generation: r.u64()?,
+            len: r.u64()?,
+            crc: r.u32()?,
+        })
+    })?;
+    if segments.is_empty() || segments.len() > 64 {
         return Err(DpapiError::Malformed(format!(
-            "unsupported manifest version {version}"
+            "implausible shard count {}",
+            segments.len()
         )));
     }
-    let seq = buf.get_u64_le();
-    need(&buf, 4, "shard count")?;
-    let n_shards = buf.get_u32_le() as usize;
-    if n_shards == 0 || n_shards > 64 {
-        return Err(DpapiError::Malformed(format!(
-            "implausible shard count {n_shards}"
-        )));
-    }
-    let mut segments = Vec::with_capacity(n_shards);
-    for _ in 0..n_shards {
-        need(&buf, 20, "segment ref")?;
-        segments.push(SegmentRef {
-            generation: buf.get_u64_le(),
-            len: buf.get_u64_le(),
-            crc: buf.get_u32_le(),
-        });
-    }
-    need(&buf, 9, "commit txn")?;
-    let flag = buf.get_u8();
-    let id = buf.get_u64_le();
-    let commit_txn = (flag != 0).then_some(id);
-    need(&buf, 4, "txn count")?;
-    let n_txns = buf.get_u32_le() as usize;
-    let mut txns = Vec::with_capacity(n_txns.min(1024));
-    for _ in 0..n_txns {
-        need(&buf, 16, "txn header")?;
-        let id = buf.get_u64_le();
-        let n_entries = buf.get_u32_le() as usize;
-        let image_len = buf.get_u32_le() as usize;
-        need(&buf, image_len, "txn image")?;
-        let image = buf.split_to(image_len);
-        let (entries, tail) = parse_log(&image);
+    let commit_txn = get_flagged(&mut r)?;
+    let txns = r.list(8 + 4 + 4, |r| {
+        let id = r.u64()?;
+        let n_entries = r.u32()? as usize;
+        let image_len = r.u32()? as usize;
+        let (entries, tail) = parse_log(r.bytes(image_len)?);
         if tail != LogTail::Clean || entries.len() != n_entries {
             return Err(DpapiError::Malformed("damaged txn image".into()));
         }
-        txns.push((id, entries));
-    }
-    need(&buf, 4, "source count")?;
-    let n_sources = buf.get_u32_le() as usize;
-    let mut sources = Vec::with_capacity(n_sources.min(1024));
-    for _ in 0..n_sources {
-        need(&buf, 4, "source path length")?;
-        let plen = buf.get_u32_le() as usize;
-        need(&buf, plen, "source path")?;
-        let raw = buf.split_to(plen);
-        let path = String::from_utf8(raw.to_vec())
-            .map_err(|_| DpapiError::Malformed("invalid UTF-8 source path".into()))?;
-        let mark = {
-            need(&buf, 8, "source mark")?;
-            buf.get_u64_le()
-        };
-        sources.push((path, mark));
-    }
-    need(&buf, 4, "batch high-water count")?;
-    let n_hw = buf.get_u32_le() as usize;
-    let mut batch_hw = Vec::with_capacity(n_hw.min(1024));
-    for _ in 0..n_hw {
-        need(&buf, 12, "batch high-water entry")?;
-        let volume = buf.get_u32_le();
-        let seq = buf.get_u64_le();
-        batch_hw.push((volume, seq));
-    }
-    need(&buf, 9, "replay skip")?;
-    let flag = buf.get_u8();
-    let id = buf.get_u64_le();
-    let replay_skip = (flag != 0).then_some(id);
-    if buf.has_remaining() {
-        return Err(DpapiError::Malformed("trailing bytes in manifest".into()));
-    }
+        Ok((id, entries))
+    })?;
+    let sources = r.list(4 + 8, |r| Ok((r.str()?.to_owned(), r.u64()?)))?;
+    let batch_hw = r.list(4 + 8, |r| Ok((r.u32()?, r.u64()?)))?;
+    let replay_skip = get_flagged(&mut r)?;
+    r.finish()?;
     Ok(Manifest {
         seq,
         segments,
@@ -248,6 +181,7 @@ pub(crate) fn decode_manifest(data: &[u8]) -> Result<Manifest> {
 mod tests {
     use super::*;
     use dpapi::{Attribute, ObjectRef, Pnode, ProvenanceRecord, Value, Version, VolumeId};
+    use lasagna::crc32;
 
     fn sample() -> Manifest {
         let sub = ObjectRef::new(Pnode::new(VolumeId(1), 5), Version(0));

@@ -37,86 +37,46 @@
 //! that never crashed — encode to **identical bytes**, which is what
 //! the crash-matrix tests assert.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use dpapi::{wire, Attribute, DpapiError, Pnode, Result, Version, VolumeId};
+use std::collections::{BTreeMap, BTreeSet};
+
+use bytes::{BufMut, BytesMut};
+use dpapi::wire::{self, Reader, MIN_RECORD_BYTES, OBJECT_REF_BYTES};
+use dpapi::{Pnode, Result, Version, VolumeId};
 
 use crate::db::{ObjectEntry, VersionEntry};
+use crate::envelope::Envelope;
 use crate::shard::Shard;
 
-const MAGIC: &[u8; 4] = b"WSEG";
 /// The segment format version, the only one the decoder accepts.
 pub const SEGMENT_VERSION: u16 = 2;
+
+const SEGMENT: Envelope = Envelope {
+    magic: *b"WSEG",
+    version: SEGMENT_VERSION,
+    what: "segment",
+};
+
+const PNODE_BYTES: usize = 4 + 8;
+/// A `u16` attribute-name length with an empty name.
+const MIN_ATTR_BYTES: usize = 2;
+/// A `u32` string length with an empty string.
+const MIN_STR_BYTES: usize = 4;
 
 fn put_pnode(buf: &mut BytesMut, p: Pnode) {
     buf.put_u32_le(p.volume.0);
     buf.put_u64_le(p.number);
 }
 
-fn get_pnode(buf: &mut Bytes) -> Result<Pnode> {
-    if buf.remaining() < 12 {
-        return Err(DpapiError::Malformed("truncated pnode".into()));
-    }
-    let volume = VolumeId(buf.get_u32_le());
-    let number = buf.get_u64_le();
-    Ok(Pnode::new(volume, number))
+fn get_pnode(r: &mut Reader<'_>) -> Result<Pnode> {
+    Ok(Pnode::new(VolumeId(r.u32()?), r.u64()?))
 }
 
-fn put_attr(buf: &mut BytesMut, attr: &Attribute) {
-    let name = attr.as_str();
-    buf.put_u16_le(name.len() as u16);
-    buf.put_slice(name.as_bytes());
-}
-
-fn get_attr(buf: &mut Bytes) -> Result<Attribute> {
-    if buf.remaining() < 2 {
-        return Err(DpapiError::Malformed("truncated attribute".into()));
-    }
-    let len = buf.get_u16_le() as usize;
-    if buf.remaining() < len {
-        return Err(DpapiError::Malformed("truncated attribute name".into()));
-    }
-    let raw = buf.split_to(len);
-    let name = std::str::from_utf8(&raw)
-        .map_err(|_| DpapiError::Malformed("invalid UTF-8 attribute".into()))?;
-    Ok(Attribute::from_name(name))
-}
-
-fn get_u32(buf: &mut Bytes, what: &str) -> Result<u32> {
-    if buf.remaining() < 4 {
-        return Err(DpapiError::Malformed(format!("truncated {what}")));
-    }
-    Ok(buf.get_u32_le())
-}
-
-fn get_u64(buf: &mut Bytes, what: &str) -> Result<u64> {
-    if buf.remaining() < 8 {
-        return Err(DpapiError::Malformed(format!("truncated {what}")));
-    }
-    Ok(buf.get_u64_le())
-}
-
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_str(buf: &mut Bytes, what: &str) -> Result<String> {
-    let len = get_u32(buf, what)? as usize;
-    if buf.remaining() < len {
-        return Err(DpapiError::Malformed(format!("truncated {what}")));
-    }
-    let raw = buf.split_to(len);
-    String::from_utf8(raw.to_vec())
-        .map_err(|_| DpapiError::Malformed(format!("invalid UTF-8 {what}")))
-}
-
-fn put_index(
-    buf: &mut BytesMut,
-    index: &std::collections::BTreeMap<String, std::collections::BTreeSet<Pnode>>,
-) {
+/// A `u32` count of `(str key, pnode set)` pairs — the name and type
+/// indexes and each attribute's value map.
+fn put_index(buf: &mut BytesMut, index: &BTreeMap<String, BTreeSet<Pnode>>) {
     buf.put_u32_le(index.len() as u32);
     for (key, set) in index {
-        put_str(buf, key);
+        wire::put_str(buf, key);
         buf.put_u32_le(set.len() as u32);
         for p in set {
             put_pnode(buf, *p);
@@ -124,21 +84,15 @@ fn put_index(
     }
 }
 
-fn get_index(
-    buf: &mut Bytes,
-) -> Result<std::collections::BTreeMap<String, std::collections::BTreeSet<Pnode>>> {
-    let n = get_u32(buf, "index size")? as usize;
-    let mut index = std::collections::BTreeMap::new();
-    for _ in 0..n {
-        let key = get_str(buf, "index key")?;
-        let k = get_u32(buf, "index entry count")? as usize;
-        let mut set = std::collections::BTreeSet::new();
-        for _ in 0..k {
-            set.insert(get_pnode(buf)?);
-        }
-        index.insert(key, set);
-    }
-    Ok(index)
+fn get_index(r: &mut Reader<'_>) -> Result<BTreeMap<String, BTreeSet<Pnode>>> {
+    let n = r.count(MIN_STR_BYTES + 4)?;
+    (0..n)
+        .map(|_| {
+            let key = r.str()?.to_owned();
+            let k = r.count(PNODE_BYTES)?;
+            Ok((key, (0..k).map(|_| get_pnode(r)).collect::<Result<_>>()?))
+        })
+        .collect()
 }
 
 /// Serializes one shard into its canonical segment image.
@@ -150,9 +104,7 @@ fn get_index(
 /// counter tracks how commits were *grouped*, not what the shard
 /// contains, and replay after a crash may group commits differently.
 pub(crate) fn encode_shard(shard_index: u32, shard: &Shard, generation: u64) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(4096);
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(SEGMENT_VERSION);
+    let mut buf = SEGMENT.start(4096);
     buf.put_u32_le(shard_index);
     buf.put_u64_le(generation);
     buf.put_u64_le(shard.size.db_bytes);
@@ -181,7 +133,7 @@ pub(crate) fn encode_shard(shard_index: u32, shard: &Shard, generation: u64) -> 
             }
             buf.put_u32_le(entry.inputs.len() as u32);
             for (attr, r) in &entry.inputs {
-                put_attr(&mut buf, attr);
+                wire::put_attribute(&mut buf, attr);
                 wire::put_object_ref(&mut buf, *r);
             }
             buf.put_u64_le(entry.writes);
@@ -205,127 +157,84 @@ pub(crate) fn encode_shard(shard_index: u32, shard: &Shard, generation: u64) -> 
         buf.put_u32_le(edges.len() as u32);
         for (descendant, attr, aversion) in &edges {
             wire::put_object_ref(&mut buf, *descendant);
-            put_attr(&mut buf, attr);
+            wire::put_attribute(&mut buf, attr);
             buf.put_u32_le(aversion.0);
         }
     }
 
     buf.put_u32_le(shard.attr_index.len() as u32);
     for (attr, values) in &shard.attr_index {
-        put_str(&mut buf, attr);
-        buf.put_u32_le(values.len() as u32);
-        for (value, set) in values {
-            put_str(&mut buf, value);
-            buf.put_u32_le(set.len() as u32);
-            for p in set {
-                put_pnode(&mut buf, *p);
-            }
-        }
+        wire::put_str(&mut buf, attr);
+        put_index(&mut buf, values);
     }
 
-    let crc = lasagna::crc32(&buf);
-    buf.put_u32_le(crc);
-    buf.to_vec()
+    Envelope::seal(buf)
 }
 
 /// Deserializes a segment image, validating magic, version and CRC.
 /// Returns the shard index it was written for and the rehydrated
 /// shard.
 pub(crate) fn decode_shard(data: &[u8]) -> Result<(u32, Shard)> {
-    if data.len() < MAGIC.len() + 2 + 4 + 8 + 16 + 4 {
-        return Err(DpapiError::Malformed("segment too short".into()));
-    }
-    let (body, crc_bytes) = data.split_at(data.len() - 4);
-    let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-    if lasagna::crc32(body) != stored {
-        return Err(DpapiError::Malformed("segment CRC mismatch".into()));
-    }
-    let mut buf = Bytes::copy_from_slice(body);
-    let magic = buf.split_to(4);
-    if magic.as_ref() != MAGIC {
-        return Err(DpapiError::Malformed("bad segment magic".into()));
-    }
-    let version = buf.get_u16_le();
-    if version != SEGMENT_VERSION {
-        return Err(DpapiError::Malformed(format!(
-            "unsupported segment version {version}"
-        )));
-    }
-    let shard_index = buf.get_u32_le();
+    let mut r = SEGMENT.open(data)?;
+    let shard_index = r.u32()?;
     let mut shard = Shard {
-        generation: buf.get_u64_le(),
+        generation: r.u64()?,
         ..Shard::default()
     };
-    shard.size.db_bytes = buf.get_u64_le();
-    shard.size.index_bytes = buf.get_u64_le();
+    shard.size.db_bytes = r.u64()?;
+    shard.size.index_bytes = r.u64()?;
 
-    let n_objects = get_u32(&mut buf, "object count")? as usize;
+    let n_objects = r.count(PNODE_BYTES + 4 + 4)?;
     for _ in 0..n_objects {
-        let pnode = get_pnode(&mut buf)?;
-        let current = get_u32(&mut buf, "current version")?;
-        let nv = get_u32(&mut buf, "version count")? as usize;
+        let pnode = get_pnode(&mut r)?;
         let mut obj = ObjectEntry {
-            current,
+            current: r.u32()?,
             ..ObjectEntry::default()
         };
+        let nv = r.count(4 + 4 + 4 + 8 + 8)?;
         for _ in 0..nv {
-            let v = get_u32(&mut buf, "version number")?;
-            let mut entry = VersionEntry::default();
-            let na = get_u32(&mut buf, "attr count")? as usize;
-            for _ in 0..na {
-                let rec = wire::get_record(&mut buf)?;
-                entry.attrs.push((rec.attribute, rec.value));
-            }
-            let ni = get_u32(&mut buf, "input count")? as usize;
-            for _ in 0..ni {
-                let attr = get_attr(&mut buf)?;
-                let r = wire::get_object_ref(&mut buf)?;
-                entry.inputs.push((attr, r));
-            }
-            entry.writes = get_u64(&mut buf, "writes")?;
-            entry.bytes_written = get_u64(&mut buf, "bytes written")?;
+            let v = r.u32()?;
+            let attrs = r.list(MIN_RECORD_BYTES, |r| {
+                let rec = wire::get_record(r)?;
+                Ok((rec.attribute, rec.value))
+            })?;
+            let inputs = r.list(MIN_ATTR_BYTES + OBJECT_REF_BYTES, |r| {
+                Ok((wire::get_attribute(r)?, wire::get_object_ref(r)?))
+            })?;
+            let entry = VersionEntry {
+                attrs,
+                inputs,
+                writes: r.u64()?,
+                bytes_written: r.u64()?,
+            };
             obj.versions.insert(v, entry);
         }
         shard.objects.insert(pnode, obj);
     }
 
-    shard.name_index = get_index(&mut buf)?;
-    shard.type_index = get_index(&mut buf)?;
+    shard.name_index = get_index(&mut r)?;
+    shard.type_index = get_index(&mut r)?;
 
-    let n_reverse = get_u32(&mut buf, "reverse count")? as usize;
+    let n_reverse = r.count(PNODE_BYTES + 4)?;
     for _ in 0..n_reverse {
-        let ancestor = get_pnode(&mut buf)?;
-        let k = get_u32(&mut buf, "reverse edge count")? as usize;
-        let mut edges = Vec::with_capacity(k.min(4096));
-        for _ in 0..k {
-            let descendant = wire::get_object_ref(&mut buf)?;
-            let attr = get_attr(&mut buf)?;
-            let aversion = Version(get_u32(&mut buf, "ancestor version")?);
-            edges.push((descendant, attr, aversion));
-        }
+        let ancestor = get_pnode(&mut r)?;
+        let edges = r.list(OBJECT_REF_BYTES + MIN_ATTR_BYTES + 4, |r| {
+            Ok((
+                wire::get_object_ref(r)?,
+                wire::get_attribute(r)?,
+                Version(r.u32()?),
+            ))
+        })?;
         shard.reverse_index.insert(ancestor, edges);
     }
 
-    let n_attrs = get_u32(&mut buf, "attr index size")? as usize;
+    let n_attrs = r.count(MIN_STR_BYTES + 4)?;
     for _ in 0..n_attrs {
-        let attr = get_str(&mut buf, "attr index name")?;
-        let m = get_u32(&mut buf, "attr value count")? as usize;
-        let mut values = std::collections::BTreeMap::new();
-        for _ in 0..m {
-            let value = get_str(&mut buf, "attr index value")?;
-            let k = get_u32(&mut buf, "attr entry count")? as usize;
-            let mut set = std::collections::BTreeSet::new();
-            for _ in 0..k {
-                set.insert(get_pnode(&mut buf)?);
-            }
-            values.insert(value, set);
-        }
-        shard.attr_index.insert(attr, values);
+        let attr = r.str()?.to_owned();
+        shard.attr_index.insert(attr, get_index(&mut r)?);
     }
 
-    if buf.has_remaining() {
-        return Err(DpapiError::Malformed("trailing bytes in segment".into()));
-    }
+    r.finish()?;
     Ok((shard_index, shard))
 }
 
@@ -338,7 +247,7 @@ pub(crate) fn segment_crc(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpapi::{ObjectRef, ProvenanceRecord, Value};
+    use dpapi::{Attribute, DpapiError, ObjectRef, ProvenanceRecord, Value};
     use lasagna::LogEntry;
 
     fn sample_shard() -> Shard {

@@ -6,7 +6,8 @@
 //! of every touched shard, and the replay high-water mark of every
 //! active source log. Frames are length-prefixed and CRC-closed so a
 //! cold restart can walk the WAL, validate it, and stop cleanly at a
-//! torn tail — the same framing discipline as the Lasagna log:
+//! torn tail. They are Lasagna log frames with an empty head
+//! ([`lasagna::put_frame`], [`lasagna::walk_frames`]):
 //!
 //! ```text
 //! frame   := len u32le, payload[len], crc32(payload) u32le
@@ -23,7 +24,9 @@
 //! frames alone would skip entries whose in-memory effects died with
 //! the crash.
 
-use lasagna::crc32;
+use dpapi::wire::Reader;
+use dpapi::Result;
+use lasagna::LogTail;
 
 /// One decoded durability frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -41,24 +44,6 @@ pub struct WalFrame {
     pub sources: Vec<(u32, u64)>,
 }
 
-/// How a WAL image ended.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WalTail {
-    /// The WAL ended exactly at a frame boundary.
-    Clean,
-    /// The WAL ended mid-frame at the given byte offset (crash while
-    /// appending).
-    Truncated {
-        /// Offset of the first incomplete frame.
-        at: usize,
-    },
-    /// A frame failed its CRC at the given byte offset.
-    Corrupt {
-        /// Offset of the corrupt frame.
-        at: usize,
-    },
-}
-
 /// Encodes one frame, appending to `out`.
 pub fn encode_frame(out: &mut Vec<u8>, frame: &WalFrame) {
     debug_assert_eq!(frame.gens.len(), frame.touched.count_ones() as usize);
@@ -74,38 +59,20 @@ pub fn encode_frame(out: &mut Vec<u8>, frame: &WalFrame) {
         payload.extend_from_slice(&path_crc.to_le_bytes());
         payload.extend_from_slice(&mark.to_le_bytes());
     }
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
+    lasagna::put_frame(out, &[], &payload).expect("a WAL frame payload fits its u32 prefix");
 }
 
-fn decode_payload(payload: &[u8]) -> Option<WalFrame> {
-    let take_u64 = |at: &mut usize| -> Option<u64> {
-        let v = u64::from_le_bytes(payload.get(*at..*at + 8)?.try_into().ok()?);
-        *at += 8;
-        Some(v)
-    };
-    let mut at = 0usize;
-    let seq = take_u64(&mut at)?;
-    let applied = take_u64(&mut at)?;
-    let touched = take_u64(&mut at)?;
-    let mut gens = Vec::with_capacity(touched.count_ones() as usize);
-    for _ in 0..touched.count_ones() {
-        gens.push(take_u64(&mut at)?);
-    }
-    let n = u32::from_le_bytes(payload.get(at..at + 4)?.try_into().ok()?) as usize;
-    at += 4;
-    let mut sources = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let path_crc = u32::from_le_bytes(payload.get(at..at + 4)?.try_into().ok()?);
-        at += 4;
-        let mark = take_u64(&mut at)?;
-        sources.push((path_crc, mark));
-    }
-    if at != payload.len() {
-        return None;
-    }
-    Some(WalFrame {
+fn decode_payload(payload: &[u8]) -> Result<WalFrame> {
+    let mut r = Reader::new(payload);
+    let seq = r.u64()?;
+    let applied = r.u64()?;
+    let touched = r.u64()?;
+    let gens = (0..touched.count_ones())
+        .map(|_| r.u64())
+        .collect::<Result<_>>()?;
+    let sources = r.list(4 + 8, |r| Ok((r.u32()?, r.u64()?)))?;
+    r.finish()?;
+    Ok(WalFrame {
         seq,
         applied,
         touched,
@@ -115,32 +82,17 @@ fn decode_payload(payload: &[u8]) -> Option<WalFrame> {
 }
 
 /// Parses a WAL image into frames plus a tail condition. Like
-/// [`lasagna::parse_log`], a torn or corrupt tail terminates parsing
-/// and is reported instead of silently ignored.
-pub fn parse_wal(data: &[u8]) -> (Vec<WalFrame>, WalTail) {
+/// [`lasagna::parse_log`] — and through the same frame walker — a torn
+/// tail stops parsing as [`LogTail::Truncated`] and a frame that fails
+/// its CRC or does not decode as [`LogTail::Corrupt`], at that frame's
+/// offset, instead of being silently ignored.
+pub fn parse_wal(data: &[u8]) -> (Vec<WalFrame>, LogTail) {
     let mut frames = Vec::new();
-    let mut at = 0usize;
-    while at < data.len() {
-        let remaining = data.len() - at;
-        if remaining < 4 {
-            return (frames, WalTail::Truncated { at });
-        }
-        let len = u32::from_le_bytes(data[at..at + 4].try_into().unwrap()) as usize;
-        if remaining < 4 + len + 4 {
-            return (frames, WalTail::Truncated { at });
-        }
-        let payload = &data[at + 4..at + 4 + len];
-        let stored = u32::from_le_bytes(data[at + 4 + len..at + 8 + len].try_into().unwrap());
-        if crc32(payload) != stored {
-            return (frames, WalTail::Corrupt { at });
-        }
-        match decode_payload(payload) {
-            Some(f) => frames.push(f),
-            None => return (frames, WalTail::Corrupt { at }),
-        }
-        at += 4 + len + 4;
-    }
-    (frames, WalTail::Clean)
+    let tail = lasagna::walk_frames(data, |[], payload| {
+        frames.push(decode_payload(payload)?);
+        Ok(())
+    });
+    (frames, tail)
 }
 
 #[cfg(test)]
@@ -174,7 +126,7 @@ mod tests {
             encode_frame(&mut buf, f);
         }
         let (parsed, tail) = parse_wal(&buf);
-        assert_eq!(tail, WalTail::Clean);
+        assert_eq!(tail, LogTail::Clean);
         assert_eq!(parsed, frames);
     }
 
@@ -187,7 +139,7 @@ mod tests {
         encode_frame(&mut buf, &frames[1]);
         let (parsed, tail) = parse_wal(&buf[..buf.len() - 3]);
         assert_eq!(parsed.len(), 1);
-        assert_eq!(tail, WalTail::Truncated { at: boundary });
+        assert_eq!(tail, LogTail::Truncated { at: boundary });
     }
 
     #[test]
@@ -202,7 +154,7 @@ mod tests {
             // corruption; what a parse must never do is return the
             // original frame with a clean tail.
             assert!(
-                !(tail == WalTail::Clean && parsed == sample()[..1]),
+                !(tail == LogTail::Clean && parsed == sample()[..1]),
                 "flip at {flip} silently accepted"
             );
         }
@@ -212,6 +164,6 @@ mod tests {
     fn empty_wal_is_clean() {
         let (frames, tail) = parse_wal(&[]);
         assert!(frames.is_empty());
-        assert_eq!(tail, WalTail::Clean);
+        assert_eq!(tail, LogTail::Clean);
     }
 }
